@@ -1051,9 +1051,10 @@ class _ScanPass:
             if stats.interleaved_writes:
                 # Writes that committed inside a chunk boundary
                 # legitimately leave NULL annotations (a torn chain)
-                # until the next fix-up pass; summary dominance must
-                # still hold.
+                # until the next fix-up pass; summary dominance
+                # and page space accounting must still hold.
                 sanitize.check_page_summaries(self.table)
+                sanitize.check_page_space(self.table)
             else:
                 sanitize.check_after_refresh_scan(self.table, self.fixup)
         for cursor in cursors:

@@ -9,11 +9,20 @@ network channel, so storage sizes and message sizes agree by construction.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+import struct
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relation.schema import Schema
-from repro.relation.types import NULL
+from repro.relation.types import (
+    NULL,
+    ColumnType,
+    FloatType,
+    IntType,
+    RidType,
+    TimestampType,
+)
+from repro.storage.rid import Rid
 
 
 class Row:
@@ -158,6 +167,152 @@ def decode_fields(
     annotations (and the restriction's columns) of every entry but the
     full row only for entries it actually transmits; decoding just those
     fields is what makes the scan cheap on unchanged data.
+
+    The work is done by a probe function generated once per
+    ``(schema, positions)`` and cached on the schema (see
+    :func:`_compile_probe`).  On a record whose NULL bitmap is all zero
+    it reads every wanted column at a precomputed offset; any other
+    record goes through the reference walker :func:`_walk_fields`.
+    """
+    try:
+        probe = schema._field_probes[positions]  # type: ignore[index]
+    except (KeyError, TypeError):  # first use, or an unhashable sequence
+        key = tuple(positions)
+        probe = schema._field_probes.get(key)
+        if probe is None:
+            probe = _compile_probe(schema, key)
+            schema._field_probes[key] = probe
+    return probe(data)
+
+
+#: ``struct`` format of each column type a probe reads inline.
+_PROBE_FORMATS: "dict[type, str]" = {
+    IntType: "q",
+    FloatType: "d",
+    RidType: "iI",
+    TimestampType: "q",
+}
+
+
+def _probe_value(ctype: ColumnType, var: str) -> "tuple[list[str], str]":
+    """Unpack targets and value expression for one inline-read column."""
+    if isinstance(ctype, RidType):
+        return [var + "p", var + "s"], (
+            f"_NULL if {var}p == {RidType._NULL_PAGE} else _R({var}p, {var}s)"
+        )
+    if isinstance(ctype, TimestampType):
+        return [var], f"_NULL if {var} == {TimestampType._NULL_SENTINEL} else {var}"
+    return [var], var
+
+
+def _compile_probe(
+    schema: Schema, positions: "tuple[int, ...]"
+) -> "Callable[[bytes], tuple[Any, ...]]":
+    """Generate the :func:`decode_fields` probe for ``positions``.
+
+    With the NULL bitmap all zero every column's body is present, so a
+    column's start is a constant offset from the record start while all
+    columns before it are fixed-width (the *prefix*), and a constant
+    distance from the record end while it and all columns after it are
+    fixed-width (the *suffix*).  The wanted columns of each region are
+    read with one precompiled ``struct`` unpack, unwanted columns in
+    between becoming pad bytes.  The inline-NULL sentinels of
+    ``rid`` and ``timestamp`` columns map to :data:`NULL` exactly as
+    :meth:`RidType.decode` and :meth:`TimestampType.decode` do.
+
+    When some wanted column lies in neither region, or is not one of the
+    fixed-width types above, the probe is the reference walker itself.
+    """
+    columns = schema.columns
+    bitmap_size = _bitmap_size(len(columns))
+
+    def walker(data: bytes) -> "tuple[Any, ...]":
+        return _walk_fields(schema, data, positions)
+
+    forward: "dict[int, int]" = {}
+    offset = bitmap_size
+    for position, column in enumerate(columns):
+        size = column.ctype.fixed_size
+        if size is None:
+            break
+        forward[position] = offset
+        offset += size
+    backward: "dict[int, int]" = {}
+    distance = 0
+    for position in range(len(columns) - 1, -1, -1):
+        size = columns[position].ctype.fixed_size
+        if size is None:
+            break
+        distance += size
+        backward[position] = distance
+
+    head: "list[int]" = []
+    tail: "list[int]" = []
+    for position in sorted(set(positions)):
+        if type(columns[position].ctype) not in _PROBE_FORMATS:
+            return walker
+        if position in forward:
+            head.append(position)
+        elif position in backward:
+            tail.append(position)
+        else:
+            return walker
+
+    namespace: "dict[str, Any]" = {
+        "_NULL": NULL,
+        "_R": Rid,
+        "_W": walker,
+        "_Z": bytes(bitmap_size),
+    }
+    lines = []
+    if bitmap_size == 1:
+        lines.append("    if d and not d[0]:")
+    else:
+        lines.append("    if d[:%d] == _Z:" % bitmap_size)
+    if tail:
+        lines.append("        e = len(d)")
+    values: "dict[int, str]" = {}
+    for region, group in (("head", head), ("tail", tail)):
+        if not group:
+            continue
+        fmt = "<"
+        targets: "list[str]" = []
+        for position in range(group[0], group[-1] + 1):
+            ctype = columns[position].ctype
+            if position in group:
+                names, values[position] = _probe_value(ctype, f"c{position}")
+                fmt += _PROBE_FORMATS[type(ctype)]
+                targets += names
+            else:
+                fmt += "%dx" % (ctype.fixed_size or 0)
+        reader = f"_U{region}"
+        namespace[reader] = struct.Struct(fmt).unpack_from
+        if region == "head":
+            where = str(forward[group[0]])
+        else:
+            where = f"e - {backward[group[0]]}"
+        lines.append(f"        {', '.join(targets)}, = {reader}(d, {where})")
+    if positions:
+        result = ", ".join(f"({values[position]})" for position in positions)
+        lines.append(f"        return ({result},)")
+    else:
+        lines.append("        return ()")
+    lines.append("    return _W(d)")
+    source = "def _probe(d):\n" + "\n".join(lines) + "\n"
+    code = compile(source, f"<decode_fields probe {positions}>", "exec")
+    exec(code, namespace)  # noqa: S102 — source rendered from the schema above
+    probe: "Callable[[bytes], tuple[Any, ...]]" = namespace["_probe"]
+    return probe
+
+
+def _walk_fields(
+    schema: Schema, data: bytes, positions: Sequence[int]
+) -> "tuple[Any, ...]":
+    """Reference form of :func:`decode_fields`: a per-column walk.
+
+    The compiled probes fall back to it for every record they cannot
+    read at precomputed offsets, and the property tests and the runtime
+    sanitizer use it as the oracle the probes are checked against.
 
     Columns in the record's *fixed-width suffix* (every column at or
     after them is fixed-size) are decoded backward from the end of the

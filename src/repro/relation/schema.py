@@ -9,7 +9,7 @@ a per-column ``hidden`` flag and helpers to derive the visible sub-schema.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relation.types import NULL, ColumnType, type_for_name
@@ -81,6 +81,12 @@ class Schema:
             if column.name in self._index:
                 raise SchemaError(f"duplicate column name: {column.name!r}")
             self._index[column.name] = position
+        #: Compiled :func:`repro.relation.row.decode_fields` probes, one per
+        #: ``positions`` tuple.  Held on the schema so a probe lives and
+        #: dies with the layout it was generated for.
+        self._field_probes: (
+            "dict[tuple[int, ...], Callable[[bytes], tuple[Any, ...]]]"
+        ) = {}
 
     @classmethod
     def of(cls, *specs: "tuple[str, str] | tuple[str, str, bool]") -> "Schema":

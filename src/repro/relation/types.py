@@ -18,6 +18,7 @@ import struct
 from typing import Any
 
 from repro.errors import SchemaError, TypeMismatchError
+from repro.storage.rid import Rid
 
 
 class NullValue:
@@ -210,8 +211,6 @@ class RidType(ColumnType):
     _NULL_PAGE = -(2**31)
 
     def validate(self, value: Any) -> None:
-        from repro.storage.rid import Rid
-
         if not isinstance(value, Rid):
             raise TypeMismatchError(f"expected Rid, got {value!r}")
 
@@ -221,8 +220,6 @@ class RidType(ColumnType):
         return self._packer.pack(value.page_no, value.slot_no)
 
     def decode(self, data: bytes, offset: int) -> "tuple[Any, int]":
-        from repro.storage.rid import Rid
-
         page_no, slot_no = self._packer.unpack_from(data, offset)
         end = offset + self._packer.size
         if page_no == self._NULL_PAGE:

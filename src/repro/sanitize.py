@@ -13,6 +13,9 @@ paper's algorithm depends on:
 - **page-summary dominance** — each page's ``max_ts`` bounds every
   timestamp on the page and ``null_slots`` covers every NULL
   annotation, so a summary can never justify skipping a changed page;
+- **page space accounting** — each page header's live-byte count equals
+  the summed body lengths of a directory walk, so free-space decisions
+  made from the header are the ones a walk would make;
 - **epoch isolation** — between ``RefreshBegin`` and the matching
   commit, nothing staged may reach the visible snapshot contents;
 - **value-cache mirroring** — after a committed refresh, every value
@@ -32,7 +35,9 @@ import os
 from typing import Any, Iterator, Optional, Tuple
 
 from repro.errors import SanitizerError
-from repro.relation.row import decode_fields
+# The reference walker, not the compiled probe the refresh path uses:
+# a check must not validate the new code with itself.
+from repro.relation.row import _walk_fields
 from repro.relation.types import NULL
 from repro.storage.rid import Rid
 
@@ -80,7 +85,7 @@ def _annotations(table: Any) -> "Iterator[Tuple[Rid, Any, Any]]":
         table.schema.position(TIMESTAMP),
     )
     for rid, body in table.heap.scan():
-        prev, ts = decode_fields(table.schema, body, positions)
+        prev, ts = _walk_fields(table.schema, body, positions)
         yield rid, prev, ts
 
 
@@ -144,6 +149,27 @@ def check_page_summaries(table: Any) -> None:
                     )
 
 
+def check_page_space(table: Any) -> None:
+    """Every page header's live-byte count matches a directory walk.
+
+    Space accounting reads ``live_bytes`` from the header instead of
+    walking the slot directory; a drifted count would misplace inserts
+    or report a full page as having room.
+    """
+
+    def visit(page_no: int, page: Any) -> bool:
+        walked = sum(len(body) for _, body in page.records())
+        if page.live_bytes != walked:
+            raise SanitizerError(
+                f"table {table.name!r}: page {page_no} header counts "
+                f"{page.live_bytes} live bytes, its directory holds {walked}"
+            )
+        return False
+
+    with _StatsGuard(table.heap):
+        table.heap.for_each_page(visit)
+
+
 def _page_annotations(
     table: Any, page_no: int
 ) -> "Iterator[Tuple[Rid, Any, Any]]":
@@ -154,7 +180,7 @@ def _page_annotations(
         table.schema.position(TIMESTAMP),
     )
     for slot_no, body in table.heap.page_entries(page_no):
-        prev, ts = decode_fields(table.schema, body, positions)
+        prev, ts = _walk_fields(table.schema, body, positions)
         yield Rid(page_no, slot_no), prev, ts
 
 
@@ -163,11 +189,13 @@ def check_after_refresh_scan(table: Any, fixup_ran: bool) -> None:
 
     The chain check only holds once a fix-up pass completed (eager-mode
     transaction undo legitimately leaves the chain torn until the next
-    pass); summary dominance must hold at all times.
+    pass); summary dominance and page space accounting must hold at all
+    times.
     """
     if fixup_ran:
         check_annotation_chain(table)
     check_page_summaries(table)
+    check_page_space(table)
     check_buffer_bounds(table.heap.pool)
 
 

@@ -180,12 +180,13 @@ class HeapFile:
             if self._free_hint[heap_page] < need:
                 continue
             page = self._pin(heap_page)
-            reuse = page.lowest_free_slot() is not None
+            free_slot = page.lowest_free_slot()
+            reuse = free_slot is not None
             if page.free_for_insert(len(record), reuse):
-                slot_no = page.insert(record)
-                self._free_hint[heap_page] = (
-                    page.contiguous_free() + page.reclaimable()
+                slot_no = page.insert(
+                    record, free_slot if reuse else page.slot_count
                 )
+                self._free_hint[heap_page] = page.free_bytes()
                 rid = Rid(heap_page, slot_no)
                 if self.summaries is not None:
                     self.summaries.note_insert(rid, record)
@@ -196,12 +197,12 @@ class HeapFile:
                     if self._write_observers:
                         self._notify_write("insert", rid)
                 return rid
-            self._free_hint[heap_page] = page.contiguous_free() + page.reclaimable()
+            self._free_hint[heap_page] = page.free_bytes()
             self._unpin(heap_page, dirty=False)
         heap_page = self._grow()
         page = self._pin(heap_page)
         slot_no = page.insert(record)
-        self._free_hint[heap_page] = page.contiguous_free() + page.reclaimable()
+        self._free_hint[heap_page] = page.free_bytes()
         rid = Rid(heap_page, slot_no)
         if self.summaries is not None:
             self.summaries.note_insert(rid, record)
@@ -223,9 +224,7 @@ class HeapFile:
         page = self._pin(rid.page_no)
         try:
             page.insert(record, slot_no=rid.slot_no)
-            self._free_hint[rid.page_no] = (
-                page.contiguous_free() + page.reclaimable()
-            )
+            self._free_hint[rid.page_no] = page.free_bytes()
             if self.summaries is not None:
                 # Undo restores carry whatever (possibly stale) annotations
                 # the record had; treat the re-appearance as structural so
@@ -268,9 +267,7 @@ class HeapFile:
             # Benign race: the free-space hint is advisory — a torn or
             # lost update only costs a later writer one extra pin probe,
             # and shard fix-up writers touch disjoint pages anyway.
-            self._free_hint[rid.page_no] = (  # replint: ignore[L601]
-                page.contiguous_free() + page.reclaimable()
-            )
+            self._free_hint[rid.page_no] = page.free_bytes()  # replint: ignore[L601]
             if self.summaries is not None:
                 self.summaries.note_update(rid, record)
         finally:
@@ -285,9 +282,7 @@ class HeapFile:
         page = self._pin(rid.page_no)
         try:
             page.delete(rid.slot_no)
-            self._free_hint[rid.page_no] = (
-                page.contiguous_free() + page.reclaimable()
-            )
+            self._free_hint[rid.page_no] = page.free_bytes()
             if self.summaries is not None:
                 self.summaries.note_delete(rid, page)
         finally:

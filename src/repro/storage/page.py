@@ -9,17 +9,24 @@ machinery has to cope with.
 
 Layout (little-endian)::
 
-    offset 0   u16  magic (0x5250, "RP")
+    offset 0   u16  magic (0x5251, "QR")
     offset 2   u16  slot_count          directory entries ever allocated
     offset 4   u16  free_data_offset    lowest byte used by record bodies
     offset 6   u16  live_count          non-empty slots
-    offset 8   u32  reserved (page LSN placeholder)
+    offset 8   u32  live_bytes          summed length of the live bodies
     offset 12  slot directory: slot_count entries of (u16 offset, u16 length)
     ...        free space
     ...        record bodies, packed toward the end of the page
 
 A directory entry with ``offset == 0`` marks a free (empty) slot; record
 bodies never start at offset 0 because the header occupies it.
+
+``live_bytes`` is maintained by every write, so space accounting
+(:meth:`SlottedPage.reclaimable`, :meth:`SlottedPage.free_bytes`) is
+header arithmetic rather than a directory walk.  Images written by the
+earlier format (magic ``0x5250``) kept 0 in that field; they are
+rejected with :class:`~repro.errors.PageFormatError` rather than
+misreported as holding free space.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ PAGE_SIZE = 4096
 
 _HEADER = struct.Struct("<HHHHI")
 _SLOT = struct.Struct("<HH")
-_MAGIC = 0x5250
+_MAGIC = 0x5251
 
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
@@ -83,14 +90,18 @@ class SlottedPage:
         return self._read_header()[3]
 
     @property
+    def live_bytes(self) -> int:
+        return self._read_header()[4]
+
+    @property
     def buffer(self) -> bytearray:
         return self._buf
 
     def _write_header(
-        self, slot_count: int, free_data_offset: int, live_count: int
+        self, slot_count: int, free_data_offset: int, live_count: int, live_bytes: int
     ) -> None:
         _HEADER.pack_into(
-            self._buf, 0, _MAGIC, slot_count, free_data_offset, live_count, 0
+            self._buf, 0, _MAGIC, slot_count, free_data_offset, live_count, live_bytes
         )
 
     def _slot(self, slot_no: int) -> "tuple[int, int]":
@@ -108,18 +119,18 @@ class SlottedPage:
 
     def reclaimable(self) -> int:
         """Bytes recoverable by compaction (holes left by deletes/updates)."""
-        _, slot_count, free_data_offset, _, _ = self._read_header()
-        live_bytes = 0
-        for slot_no in range(slot_count):
-            offset, length = self._slot(slot_no)
-            if offset != 0:
-                live_bytes += length
+        _, _, free_data_offset, _, live_bytes = self._read_header()
         return (self._size - free_data_offset) - live_bytes
+
+    def free_bytes(self) -> int:
+        """Contiguous plus reclaimable bytes: what compaction would leave free."""
+        _, slot_count, _, _, live_bytes = self._read_header()
+        return self._size - HEADER_SIZE - slot_count * SLOT_SIZE - live_bytes
 
     def free_for_insert(self, record_size: int, reuse_slot: bool) -> bool:
         """Whether a record of ``record_size`` fits (possibly after compaction)."""
         need = record_size + (0 if reuse_slot else SLOT_SIZE)
-        return self.contiguous_free() + self.reclaimable() >= need
+        return self.free_bytes() >= need
 
     # -- record operations ---------------------------------------------------
 
@@ -135,50 +146,43 @@ class SlottedPage:
         """Store ``record``; return its slot number.
 
         With ``slot_no=None`` the lowest free slot is reused, else a new
-        directory entry is appended.  An explicit ``slot_no`` must name an
-        existing free slot (used by recovery redo).
+        directory entry is appended.  An explicit ``slot_no`` must name a
+        free slot; one at or past ``slot_count`` grows the directory (the
+        entries in between are born empty).  Recovery redo uses that, and
+        the heap passes in the slot its own free-space probe found.
         """
         if slot_no is None:
             slot_no = self.lowest_free_slot()
-        else:
-            if slot_no >= self.slot_count:
-                self._extend_directory(slot_no)
-            offset, _ = self._slot(slot_no)
-            if offset != 0:
+            if slot_no is None:
+                slot_no = self.slot_count
+        _, slot_count, free_data_offset, live_count, live_bytes = (
+            self._read_header()
+        )
+        if slot_no < slot_count:
+            if self._slot(slot_no)[0] != 0:
                 raise PageFullError(f"slot {slot_no} already occupied")
-        reuse = slot_no is not None
-        need = len(record) + (0 if reuse else SLOT_SIZE)
-        if self.contiguous_free() < need:
-            if self.contiguous_free() + self.reclaimable() < need:
+            new_count = slot_count
+        else:
+            new_count = slot_no + 1
+        need = len(record) + (new_count - slot_count) * SLOT_SIZE
+        contiguous = free_data_offset - (HEADER_SIZE + slot_count * SLOT_SIZE)
+        if contiguous < need:
+            reclaimable = (self._size - free_data_offset) - live_bytes
+            if contiguous + reclaimable < need:
                 raise PageFullError(
                     f"record of {len(record)} bytes does not fit "
-                    f"({self.contiguous_free()} contiguous, "
-                    f"{self.reclaimable()} reclaimable)"
+                    f"({contiguous} contiguous, {reclaimable} reclaimable)"
                 )
-            self.compact()
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        if slot_no is None:
-            slot_no = slot_count
-            slot_count += 1
+            free_data_offset = self.compact()
+        for new_slot in range(slot_count, new_count):
+            self._set_slot(new_slot, 0, 0)
         new_offset = free_data_offset - len(record)
         self._buf[new_offset : new_offset + len(record)] = record
-        self._write_header(slot_count, new_offset, live_count + 1)
+        self._write_header(
+            new_count, new_offset, live_count + 1, live_bytes + len(record)
+        )
         self._set_slot(slot_no, new_offset, len(record))
         return slot_no
-
-    def _extend_directory(self, slot_no: int) -> None:
-        """Grow the directory so ``slot_no`` exists (entries born empty)."""
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        wanted = slot_no + 1
-        extra = (wanted - slot_count) * SLOT_SIZE
-        if self.contiguous_free() < extra:
-            if self.contiguous_free() + self.reclaimable() < extra:
-                raise PageFullError("no room to extend slot directory")
-            self.compact()
-            _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        for new_slot in range(slot_count, wanted):
-            self._set_slot(new_slot, 0, 0)
-        self._write_header(wanted, free_data_offset, live_count)
 
     def read(self, slot_no: int) -> bytes:
         """Return the record body in ``slot_no``; raise if empty/out of range."""
@@ -199,9 +203,14 @@ class SlottedPage:
         """Free ``slot_no`` (directory entry is kept for reuse)."""
         if not self.is_live(slot_no):
             raise RecordNotFoundError(f"slot {slot_no} is empty")
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
+        _, slot_count, free_data_offset, live_count, live_bytes = (
+            self._read_header()
+        )
+        _, length = self._slot(slot_no)
         self._set_slot(slot_no, 0, 0)
-        self._write_header(slot_count, free_data_offset, live_count - 1)
+        self._write_header(
+            slot_count, free_data_offset, live_count - 1, live_bytes - length
+        )
 
     def update(self, slot_no: int, record: bytes) -> None:
         """Replace the record in ``slot_no`` in place (same address).
@@ -215,28 +224,43 @@ class SlottedPage:
         if not self.is_live(slot_no):
             raise RecordNotFoundError(f"slot {slot_no} is empty")
         offset, length = self._slot(slot_no)
+        _, slot_count, free_data_offset, live_count, live_bytes = (
+            self._read_header()
+        )
         if len(record) <= length:
             self._buf[offset : offset + len(record)] = record
             self._set_slot(slot_no, offset, len(record))
+            if len(record) != length:
+                self._write_header(
+                    slot_count,
+                    free_data_offset,
+                    live_count,
+                    live_bytes - length + len(record),
+                )
             return
         # Grow: temporarily drop the old copy so compaction can reclaim it.
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        self._set_slot(slot_no, 0, 0)
-        if self.contiguous_free() < len(record):
-            if self.contiguous_free() + self.reclaimable() < len(record):
-                self._set_slot(slot_no, offset, length)  # restore
+        live_bytes -= length
+        contiguous = free_data_offset - (HEADER_SIZE + slot_count * SLOT_SIZE)
+        if contiguous < len(record):
+            reclaimable = (self._size - free_data_offset) - live_bytes
+            if contiguous + reclaimable < len(record):
                 raise PageFullError(
                     f"updated record of {len(record)} bytes does not fit"
                 )
-            self.compact()
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
+            self._set_slot(slot_no, 0, 0)
+            free_data_offset = self.compact()
         new_offset = free_data_offset - len(record)
         self._buf[new_offset : new_offset + len(record)] = record
-        self._write_header(slot_count, new_offset, live_count)
+        self._write_header(
+            slot_count, new_offset, live_count, live_bytes + len(record)
+        )
         self._set_slot(slot_no, new_offset, len(record))
 
-    def compact(self) -> None:
-        """Re-pack live record bodies toward the page end, squeezing holes."""
+    def compact(self) -> int:
+        """Re-pack live record bodies toward the page end, squeezing holes.
+
+        Returns the new ``free_data_offset``.
+        """
         _, slot_count, _, live_count, _ = self._read_header()
         live = []
         for slot_no in range(slot_count):
@@ -248,7 +272,8 @@ class SlottedPage:
             write_at -= len(body)
             self._buf[write_at : write_at + len(body)] = body
             self._set_slot(slot_no, write_at, len(body))
-        self._write_header(slot_count, write_at, live_count)
+        self._write_header(slot_count, write_at, live_count, self._size - write_at)
+        return write_at
 
     def records(self) -> "Iterator[tuple[int, bytes]]":
         """Yield ``(slot_no, body)`` for live slots in slot order."""

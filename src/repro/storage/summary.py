@@ -232,6 +232,11 @@ class PageSummaryMap:
         summary.page_version += 1
         summary.null_slots.discard(rid.slot_no)
         self._mark_structural(summary)
+        # Deleting an interior slot leaves the bounds as they were; only
+        # losing an endpoint (or not knowing them) needs a directory walk.
+        first, last = summary.first_live_slot, summary.last_live_slot
+        if first is not None and last is not None and first < rid.slot_no < last:
+            return
         bounds = page.live_bounds()
         if bounds is None:
             summary.first_live_slot = None

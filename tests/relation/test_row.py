@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.relation.row import Row, decode_row, encode_row, encoded_size
+from repro.relation.row import (
+    Row,
+    decode_fields,
+    decode_row,
+    encode_row,
+    encoded_size,
+)
 from repro.relation.schema import Column, Schema
 from repro.relation.types import NULL
 from repro.storage.rid import Rid
@@ -95,3 +101,39 @@ class TestEncoding:
         values = [i if i % 3 else NULL for i in range(12)]
         decoded = decode_row(schema, encode_row(schema, Row(values)))
         assert [v if v is not NULL else NULL for v in decoded.values] == values
+
+
+class TestFieldProbe:
+    def test_prefix_and_suffix_read_inline(self):
+        schema = Schema.of(("k", "int"), ("v", "float"), ("s", "string")).with_columns(
+            [
+                Column("$PREVADDR$", "rid", nullable=True, hidden=True),
+                Column("$TIMESTAMP$", "timestamp", nullable=True, hidden=True),
+            ]
+        )
+        record = encode_row(schema, Row((7, 0.5, "x", NULL, 430)))
+        assert decode_fields(schema, record, (4, 3, 1)) == (430, NULL, 0.5)
+        probe = schema._field_probes[(4, 3, 1)]
+        assert probe.__name__ == "_probe"  # generated, not the walker
+
+    def test_column_behind_string_uses_walker(self, annotated_schema):
+        record = encode_row(annotated_schema, Row(("Laura", 6, "db", NULL, 430)))
+        assert decode_fields(annotated_schema, record, (2,)) == ("db",)
+        assert annotated_schema._field_probes[(2,)].__name__ == "walker"
+
+    def test_bitmap_null_falls_back(self, annotated_schema):
+        record = encode_row(annotated_schema, Row(("Laura", 6, NULL, Rid(1, 2), 5)))
+        assert decode_fields(annotated_schema, record, (1, 2, 3)) == (
+            6,
+            NULL,
+            Rid(1, 2),
+        )
+
+    def test_probe_cached_per_schema_object(self, schema):
+        twin = Schema(schema.columns)
+        record = encode_row(schema, Row(("Laura", 6, "db")))
+        assert decode_fields(schema, record, (1,)) == (6,)
+        assert (1,) in schema._field_probes
+        assert (1,) not in twin._field_probes
+        assert decode_fields(twin, record, (1,)) == (6,)
+        assert twin._field_probes[(1,)] is not schema._field_probes[(1,)]

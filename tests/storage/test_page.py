@@ -1,9 +1,12 @@
 """Slotted pages: insert/read/update/delete, compaction, slot reuse."""
 
+import struct
+
 import pytest
 
 from repro.errors import PageFormatError, PageFullError, RecordNotFoundError
 from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
+from repro.storage.pager import FilePager
 
 
 @pytest.fixture
@@ -148,3 +151,50 @@ class TestFormat:
 
     def test_slot_size_constant(self):
         assert SLOT_SIZE == 4
+
+    def test_old_format_page_rejected(self, tmp_path):
+        # The previous format (magic 0x5250) kept 0 where the header now
+        # holds the live-byte count; reading its free space through the
+        # new header would overstate it, so the image must be refused.
+        old = bytearray(512)
+        body = b"record"
+        struct.pack_into("<HHHHI", old, 0, 0x5250, 1, 512 - len(body), 1, 0)
+        struct.pack_into("<HH", old, HEADER_SIZE, 512 - len(body), len(body))
+        old[512 - len(body) :] = body
+        path = str(tmp_path / "old.pages")
+        with FilePager(path, page_size=512) as pager:
+            pager.write_page(pager.allocate(), bytes(old))
+        with FilePager(path, page_size=512) as reopened:
+            image = reopened.read_page(0)
+        with pytest.raises(PageFormatError, match="0x5250"):
+            SlottedPage(image)
+
+
+class TestLiveBytes:
+    def test_header_tracks_every_write(self, page):
+        a = page.insert(b"a" * 10)
+        b = page.insert(b"b" * 20)
+        assert page.live_bytes == 30
+        page.update(a, b"a" * 4)  # shrink
+        assert page.live_bytes == 24
+        page.update(b, b"b" * 40)  # grow
+        assert page.live_bytes == 44
+        page.delete(a)
+        assert page.live_bytes == 40
+        page.compact()
+        assert page.live_bytes == 40
+        assert page.reclaimable() == 0
+
+    def test_failed_grow_leaves_page_untouched(self, page):
+        slot = page.insert(b"aa")
+        before = bytes(page.buffer)
+        with pytest.raises(PageFullError):
+            page.update(slot, b"x" * 1000)
+        assert bytes(page.buffer) == before
+
+    def test_explicit_slot_past_directory_is_atomic(self, page):
+        page.insert(b"x" * 400)
+        before = bytes(page.buffer)
+        with pytest.raises(PageFullError):
+            page.insert(b"y" * 80, slot_no=5)
+        assert bytes(page.buffer) == before

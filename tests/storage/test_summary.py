@@ -86,6 +86,16 @@ class TestMaintenance:
         assert summary.first_live_slot == 0
         assert summary.last_live_slot == 2
 
+    def test_delete_keeps_bounds_exact(self, lazy):
+        # Interior deletes leave the bounds alone; endpoint deletes move
+        # them to the next live slot inward.
+        rids = [lazy.insert([i]) for i in range(6)]
+        for index in (2, 0, 5, 1, 4):
+            lazy.delete(rids[index])
+            assert_matches_rebuild(lazy)
+        summary = lazy.heap.summaries.get(0)
+        assert summary.first_live_slot == summary.last_live_slot == 3
+
     def test_delete_all_clears_bounds(self, lazy):
         rid = lazy.insert([1])
         lazy.delete(rid)

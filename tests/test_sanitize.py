@@ -1,5 +1,7 @@
 """REPRO_SANITIZE=1: injected invariant breaks are caught at runtime."""
 
+import struct
+
 import pytest
 
 from repro import sanitize
@@ -69,6 +71,7 @@ class TestCleanRuns:
         before = (stats.hits, stats.misses, stats.evictions, stats.writebacks)
         sanitize.check_annotation_chain(table)
         sanitize.check_page_summaries(table)
+        sanitize.check_page_space(table)
         after = (stats.hits, stats.misses, stats.evictions, stats.writebacks)
         assert after == before
 
@@ -109,6 +112,23 @@ class TestPageSummaries:
         assert summary is not None
         summary.max_ts = 0
         with pytest.raises(SanitizerError, match="wrongly skipped"):
+            snap.refresh()
+
+
+class TestPageSpace:
+    def test_drifted_live_byte_count_fails_the_next_refresh(self):
+        db, table, rids = build()
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot("s", "items", where="v < 5")
+        # Overstate page 0's live bytes in its header (offset 8): free
+        # space read from the header no longer matches the directory.
+        pool = table.heap.pool
+        physical = table.heap.physical_pages()[0]
+        frame = pool.pin(physical)
+        (live,) = struct.unpack_from("<I", frame, 8)
+        struct.pack_into("<I", frame, 8, live + 1)
+        pool.unpin(physical, dirty=True)
+        with pytest.raises(SanitizerError, match="live bytes"):
             snap.refresh()
 
 
