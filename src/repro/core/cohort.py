@@ -12,9 +12,8 @@ workers.
 
 Clustering is pure data-structure work over ``DueEntry`` value objects:
 this module knows nothing about the manager or the scheduler (enforced
-by replint L404), mirroring the shard-worker isolation of L403 — a
-cohort is fully described by its key and member names, so nothing else
-can leak into the pass that serves it.
+by replint L404) — a cohort is fully described by its key and member
+names, so nothing else can leak into the pass that serves it.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ ablation benchmark measures them):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import sanitize
 from repro.core.messages import (
@@ -92,11 +92,6 @@ from repro.storage.rid import Rid
 from repro.storage.summary import PageQualInfo
 from repro.table import PREVADDR, TIMESTAMP, Table
 from repro.txn.clock import WatermarkBracket
-
-if TYPE_CHECKING:
-    # Runtime import would be circular: core.shard builds on this
-    # module's scan machinery.
-    from repro.core.shard import ShardExecutor
 
 Send = Callable[[RefreshMessage], None]
 
@@ -192,10 +187,6 @@ class RefreshResult:
         "chunks_scanned",
         "interleaved_writes",
         "pages_repaired",
-        "shards",
-        "shard_stats",
-        "merge_wall",
-        "shard_skew",
     )
 
     def __init__(self) -> None:
@@ -250,17 +241,6 @@ class RefreshResult:
         #: chunked scan because a writer touched them after their chunk's
         #: high watermark.
         self.pages_repaired = 0
-        #: RID-range shards the scan ran as (1 = monolithic).
-        self.shards = 1
-        #: Per-shard :class:`~repro.core.shard.ShardStats` records, in
-        #: shard (address) order; empty for a monolithic scan.
-        self.shard_stats: "tuple[object, ...]" = ()
-        #: Wall-clock the deterministic merge spent replaying per-shard
-        #: streams (0.0 unless a timer was injected).
-        self.merge_wall = 0.0
-        #: Work imbalance across shards: max over mean of per-shard
-        #: entries scanned (1.0 = perfectly balanced, 0.0 = no shards).
-        self.shard_skew = 0.0
 
     @property
     def buffer_hit_rate(self) -> float:
@@ -363,12 +343,8 @@ class RefreshCursor:
         self.name = name
         self.value_schema = projection.schema
         self.last_qual = Rid.BEGIN
-        #: Figure 3's pending ``Deletion`` flag.  Always a plain bool
-        #: here; shard-worker cursors (``core/shard.py``) substitute
-        #: symbolic placeholders for boundary state they cannot know
-        #: yet, which is why the scan consults :attr:`skip_blocked`
-        #: rather than this attribute directly.
-        self.deletion: object = False
+        #: Figure 3's pending ``Deletion`` flag.
+        self.deletion = False
         self.result = RefreshResult()
         #: Set when this cursor's channel failed mid-pass; the scan
         #: continues for the other cursors.
@@ -392,17 +368,6 @@ class RefreshCursor:
     def fail(self, error: BaseException) -> None:
         self.failed = True
         self.error = error
-
-    @property
-    def skip_blocked(self) -> bool:
-        """Whether a pending ``Deletion`` flag forbids page skipping.
-
-        A page may only be fast-forwarded when the flag is *known*
-        clear; shard-worker cursors override this so an unknown carried
-        flag blocks the skip (the page is scanned and the decision
-        deferred) instead of silently dropping a pending deletion.
-        """
-        return bool(self.deletion)
 
     # -- page lifecycle ------------------------------------------------------
 
@@ -452,7 +417,7 @@ class RefreshCursor:
         sparse: "list[object]",
         orig_ts: object,
         pure_insert: bool,
-        anomaly: "Optional[bool]",
+        anomaly: bool,
     ) -> None:
         """Apply one scanned entry to this cursor's refresh state.
 
@@ -462,11 +427,6 @@ class RefreshCursor:
         with fix-up folded in as "the value changed" (insert/update,
         per-cursor) or "a deletion was detected just before this entry"
         (anomaly stamp, a property of the scan shared by every cursor).
-
-        ``anomaly`` is ``None`` only when the pass could not resolve the
-        verdict locally (a shard worker at its boundary entry); plain
-        cursors never receive it — only the shard-worker override in
-        ``core/shard.py`` handles the deferred case.
         """
         result = self.result
         result.scanned += 1
@@ -666,9 +626,6 @@ class _ScanPass:
         "expect_prev",
         "last_addr",
         "completed",
-        "deferred_first_insert",
-        "deferred_d",
-        "deferred_pages",
         "_hits_before",
         "_misses_before",
     )
@@ -681,8 +638,6 @@ class _ScanPass:
         use_page_summaries: bool,
         isolate_failures: bool,
         batch_mode: bool,
-        fixup_time: Optional[int] = None,
-        boundary_known: bool = True,
     ) -> None:
         if fixup is None:
             fixup = table.annotation_mode == "lazy"
@@ -721,39 +676,14 @@ class _ScanPass:
         pool_stats = self.heap.pool.stats
         self._hits_before = pool_stats.hits
         self._misses_before = pool_stats.misses
-        # A sharded pass ticks the clock once and injects the shared
-        # value into every worker, so all shards stamp one fix-up time.
-        if fixup_time is None:
-            fixup_time = table.db.clock.tick()
-        self.fixup_time = fixup_time
+        self.fixup_time = table.db.clock.tick()
 
-        #: With ``boundary_known`` (the monolithic pass, or the first
-        #: shard) the fix-up state starts at the table's beginning.  A
-        #: shard worker starting mid-table sets both to ``None``: the
-        #: values are carried in from the preceding shard and resolved
-        #: only at merge time, so the worker *defers* the (at most two)
-        #: fix-up writes that depend on them — the first entry's insert
-        #: chain link and the first non-insert entry's anomaly verdict.
-        self.expect_prev: "Optional[Rid]" = (
-            Rid.BEGIN if boundary_known else None
-        )
-        self.last_addr: "Optional[Rid]" = (
-            Rid.BEGIN if boundary_known else None
-        )
+        #: Figure 7's fix-up state, carried from page to page: the
+        #: ``PrevAddr`` the next entry should hold, and the address of
+        #: the last live entry scanned.
+        self.expect_prev = Rid.BEGIN
+        self.last_addr = Rid.BEGIN
         self.completed = True  # whether the pass reached the heap's end
-        #: Deferred fix-up: the shard's first entry when it is a pure
-        #: insert (its PrevAddr must point at the carried last address).
-        self.deferred_first_insert: "Optional[Rid]" = None
-        #: Deferred fix-up: the shard's first non-insert entry as
-        #: ``(rid, prev, ts_is_null, last_addr_before)`` — its anomaly
-        #: verdict needs the carried ``ExpectPrev``.
-        self.deferred_d: "Optional[tuple[Rid, Rid, bool, Optional[Rid]]]" = (
-            None
-        )
-        #: Pages holding a deferred write: their cached
-        #: :class:`PageQualInfo` would describe pre-merge bytes, so the
-        #: worker drops those (at most two) cache entries instead.
-        self.deferred_pages: "set[int]" = set()
 
     def scan_pages(
         self, cursors: "Sequence[RefreshCursor]", start: int, stop: int
@@ -786,7 +716,7 @@ class _ScanPass:
             for cursor in live:
                 if (
                     summary is not None
-                    and not cursor.skip_blocked
+                    and not cursor.deletion
                     and summary.skippable(cursor.snap_time)
                 ):
                     info = (
@@ -805,15 +735,9 @@ class _ScanPass:
                             # (last_addr != expect_prev) would need this
                             # page's first PrevAddr repointed, and a
                             # first_prev mismatch is precisely a deletion
-                            # anomaly hiding on this page.  A shard
-                            # worker whose boundary state is still
-                            # unresolved (None) cannot prove either, so
-                            # it scans the page instead — byte-identical
-                            # for a skippable page, which by definition
-                            # holds nothing to transmit.
+                            # anomaly hiding on this page.
                             or (
-                                last_addr is not None
-                                and last_addr == expect_prev
+                                last_addr == expect_prev
                                 and (
                                     info.first_prev is None
                                     or info.first_prev == expect_prev
@@ -857,7 +781,6 @@ class _ScanPass:
                         not fixup
                         or (
                             batch.chain_ok
-                            and last_addr is not None
                             and last_addr == expect_prev
                             and (
                                 batch.count == 0
@@ -916,32 +839,16 @@ class _ScanPass:
                 orig_ts = ts
                 final_prev = prev
                 pure_insert = False
-                anomaly: "Optional[bool]" = False
+                anomaly = False
                 if fixup:
                     if prev is NULL:
                         # Inserted since the last fix-up.
                         pure_insert = True
-                        if last_addr is None:
-                            # Shard boundary: the chain link points at
-                            # the preceding shard's last entry — write
-                            # deferred to the merge.
-                            self.deferred_first_insert = rid
-                            self.deferred_pages.add(page_no)
-                        else:
-                            final_prev = last_addr
-                            table.set_annotations(
-                                rid, prev=last_addr, ts=fixup_time
-                            )
-                            stats.fixup_writes += 1
-                    elif expect_prev is None:
-                        # Shard boundary: this entry's anomaly verdict
-                        # compares against the carried ExpectPrev.  The
-                        # merge performs the comparison and any write;
-                        # cursors get the deferred-anomaly sentinel.
-                        self.deferred_d = (rid, prev, ts is NULL, last_addr)
-                        self.deferred_pages.add(page_no)
-                        anomaly = None
-                        expect_prev = rid
+                        final_prev = last_addr
+                        table.set_annotations(
+                            rid, prev=last_addr, ts=fixup_time
+                        )
+                        stats.fixup_writes += 1
                     else:
                         new_prev: "Optional[Rid]" = None
                         stamp = False
@@ -1005,13 +912,10 @@ class _ScanPass:
                             rid, entry, sparse, orig_ts, pure_insert, anomaly
                         )
 
-            if summaries is not None and page_no not in self.deferred_pages:
+            if summaries is not None:
                 # Version read after the fix-up writes above, so the
                 # cache entry describes the page bytes as this scan left
-                # them.  Pages holding a deferred boundary write are not
-                # cached: the merge's write would immediately stale the
-                # entry, so the next refresh re-scans those (at most
-                # two) pages instead.
+                # them.
                 version: Optional[int] = None
                 for cursor in scanning:
                     if cursor.failed or cursor.cache is None:
@@ -1320,15 +1224,11 @@ class DifferentialRefresher:
         use_page_summaries: bool = False,
         delta_updates: bool = False,
         batch_mode: bool = False,
-        shards: int = 1,
-        shard_executor: "Optional[ShardExecutor]" = None,
     ) -> None:
         if not table.has_annotations:
             raise RefreshMethodError(
                 f"differential refresh requires annotations on {table.name!r}"
             )
-        if shards < 1:
-            raise RefreshMethodError("shards must be at least 1")
         self.table = table
         self.optimize_deletes = optimize_deletes
         self.suppress_pure_inserts = suppress_pure_inserts
@@ -1339,17 +1239,6 @@ class DifferentialRefresher:
         #: default so a directly constructed refresher keeps the
         #: per-row baseline; the manager turns it on.
         self.batch_mode = batch_mode
-        #: RID-range shards per scan (1 = the monolithic pass).  With
-        #: ``shards > 1``, :meth:`refresh` runs the partitioned scan of
-        #: :func:`repro.core.shard.run_sharded_refresh_scan` —
-        #: byte-identical stream, parallel page loop.
-        #: :meth:`refresh_chunked` intentionally stays single-threaded:
-        #: its watermark brackets order chunks in time, which is exactly
-        #: what the shard merge's address order would scramble.
-        self.shards = shards
-        #: Optional :class:`repro.core.shard.ShardExecutor` override
-        #: (default: the process-wide shared worker pool).
-        self.shard_executor = shard_executor
         # Fallback caches for callers that do not thread per-snapshot
         # caches through `refresh(cache=..., value_cache=...)`; valid
         # only for one restriction (i.e. one snapshot) at a time.
@@ -1406,26 +1295,13 @@ class DifferentialRefresher:
             suppress_pure_inserts=self.suppress_pure_inserts,
             value_cache=value_cache if self.delta_updates else None,
         )
-        if self.shards > 1:
-            from repro.core.shard import run_sharded_refresh_scan
-
-            stats = run_sharded_refresh_scan(
-                table,
-                (cursor,),
-                shards=self.shards,
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                batch_mode=self.batch_mode,
-                executor=self.shard_executor,
-            )
-        else:
-            stats = run_refresh_scan(
-                table,
-                (cursor,),
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                batch_mode=self.batch_mode,
-            )
+        stats = run_refresh_scan(
+            table,
+            (cursor,),
+            fixup=fixup,
+            use_page_summaries=self.use_page_summaries,
+            batch_mode=self.batch_mode,
+        )
         if own_value_cache:
             value_cache.commit()
         return self._fold_pass(cursor, stats)
@@ -1512,10 +1388,6 @@ class DifferentialRefresher:
         result.chunks_scanned = stats.chunks_scanned
         result.interleaved_writes = stats.interleaved_writes
         result.pages_repaired = stats.pages_repaired
-        result.shards = stats.shards
-        result.shard_stats = stats.shard_stats
-        result.merge_wall = stats.merge_wall
-        result.shard_skew = stats.shard_skew
         return result
 
 

@@ -42,7 +42,7 @@ coalescing window batches almost-due snapshots onto one pass.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.differential import (
     RefreshCursor,
@@ -52,9 +52,6 @@ from repro.core.differential import (
 )
 from repro.errors import RefreshMethodError
 from repro.table import Table
-
-if TYPE_CHECKING:
-    from repro.core.shard import ShardExecutor
 
 
 class GroupRefreshResult:
@@ -123,26 +120,17 @@ class GroupRefresher:
         table: Table,
         use_page_summaries: bool = False,
         batch_mode: bool = False,
-        shards: int = 1,
-        shard_executor: "Optional[ShardExecutor]" = None,
     ) -> None:
         if not table.has_annotations:
             raise RefreshMethodError(
                 f"group differential refresh requires annotations on "
                 f"{table.name!r}"
             )
-        if shards < 1:
-            raise RefreshMethodError("shards must be at least 1")
         self.table = table
         self.use_page_summaries = use_page_summaries
         #: Serve eligible pages through the columnar batch path (see
         #: :func:`~repro.core.differential.run_refresh_scan`).
         self.batch_mode = batch_mode
-        #: RID-range shards per group pass (1 = monolithic; see
-        #: :func:`repro.core.shard.run_sharded_refresh_scan`).  The
-        #: chunked writer-concurrent path stays single-threaded.
-        self.shards = shards
-        self.shard_executor = shard_executor
 
     def refresh_group(
         self,
@@ -159,28 +147,14 @@ class GroupRefresher:
         outcome = GroupRefreshResult()
         if not cursors:
             return outcome
-        if self.shards > 1:
-            from repro.core.shard import run_sharded_refresh_scan
-
-            outcome.pass_result = run_sharded_refresh_scan(
-                self.table,
-                list(cursors),
-                shards=self.shards,
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                isolate_failures=True,
-                batch_mode=self.batch_mode,
-                executor=self.shard_executor,
-            )
-        else:
-            outcome.pass_result = run_refresh_scan(
-                self.table,
-                list(cursors),
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                isolate_failures=True,
-                batch_mode=self.batch_mode,
-            )
+        outcome.pass_result = run_refresh_scan(
+            self.table,
+            list(cursors),
+            fixup=fixup,
+            use_page_summaries=self.use_page_summaries,
+            isolate_failures=True,
+            batch_mode=self.batch_mode,
+        )
         return self._fold(outcome, cursors)
 
     def refresh_group_chunked(
@@ -245,10 +219,6 @@ class GroupRefresher:
             result.chunks_scanned = stats.chunks_scanned
             result.interleaved_writes = stats.interleaved_writes
             result.pages_repaired = stats.pages_repaired
-            result.shards = stats.shards
-            result.shard_stats = stats.shard_stats
-            result.merge_wall = stats.merge_wall
-            result.shard_skew = stats.shard_skew
             if cursor.failed:
                 outcome.errors[name] = cursor.error
             else:

@@ -247,7 +247,6 @@ class SnapshotManager:
         frame_messages: int = 64,
         frame_bytes: Optional[int] = None,
         delta_updates: bool = False,
-        shards: int = 1,
     ) -> Snapshot:
         """Compile, materialize, and (by default) initially populate.
 
@@ -273,12 +272,6 @@ class SnapshotManager:
         sends per-column :class:`~repro.core.messages.UpdateDeltaMessage`
         deltas whenever the snapshot's value cache knows the previously
         transmitted row.
-        ``shards=N`` (differential method only) partitions each refresh
-        scan into N contiguous RID-range shards run by parallel workers
-        with a deterministic merge — the transmitted stream stays
-        byte-identical to the monolithic scan (see
-        :func:`repro.core.shard.run_sharded_refresh_scan`); per-shard
-        stats land on ``RefreshResult.shard_stats``.
         """
         from repro.core.snapshot import STORAGE_PREFIX
 
@@ -324,7 +317,6 @@ class SnapshotManager:
                 use_page_summaries=self.use_page_summaries,
                 delta_updates=delta_updates,
                 batch_mode=self.batch_mode,
-                shards=shards,
             )
         elif plan.method is RefreshMethod.FULL:
             refresher = FullRefresher(table)
@@ -339,11 +331,6 @@ class SnapshotManager:
             raise SnapshotError(
                 f"snapshot {name!r}: delta_updates requires the "
                 f"differential refresh method (got {plan.method.value})"
-            )
-        if shards > 1 and not isinstance(refresher, DifferentialRefresher):
-            raise SnapshotError(
-                f"snapshot {name!r}: shards requires the differential "
-                f"refresh method (got {plan.method.value})"
             )
 
         site = target_db if target_db is not None else self.db
@@ -767,16 +754,6 @@ class SnapshotManager:
                     cursor.cache is not None for cursor in cursors
                 ),
                 batch_mode=self.batch_mode,
-                # The widest member sets the pass's shard count: shards
-                # only partition the page loop, so serving a shards=1
-                # snapshot from a sharded pass changes none of its bytes.
-                shards=max(
-                    (
-                        getattr(handle.refresher, "shards", 1)
-                        for handle, _epoch, _sent in states.values()
-                    ),
-                    default=1,
-                ),
             )
             group.refresh_group(cursors)
 

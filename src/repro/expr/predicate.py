@@ -34,9 +34,10 @@ class Restriction:
     #: Compiled-restriction memo: (text, schema) -> Restriction.
     _parse_cache: "dict[tuple[str, Schema], Restriction]" = {}
     _parse_cache_limit = 512
-    #: Guards the memo and its hit counter: shard workers parse
-    #: concurrently, and an unguarded clear-then-insert could lose
-    #: entries or tear the hit count.
+    #: Guards the memo and its hit counter: ``drain_registry`` workers
+    #: and the scheduler's commit listener parse concurrently, and an
+    #: unguarded clear-then-insert could lose entries or tear the hit
+    #: count.
     _parse_lock = threading.Lock()
     #: Cache hits (observable from tests and benchmarks).
     parse_cache_hits = 0

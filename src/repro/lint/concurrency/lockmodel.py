@@ -147,21 +147,16 @@ GUARDED_FIELDS: "Dict[str, Dict[str, str]]" = {
 #: worker-local state stored into an attribute of one of these.
 SHARED_CLASSES: "FrozenSet[str]" = frozenset(GUARDED_FIELDS)
 
-#: Classes whose instances are private to one shard/drain worker until
-#: the sequential merge.  Storing one of these into a shared class (or
-#: a module global) from root-reachable code is a thread escape (L603).
-WORKER_LOCAL_CLASSES: "FrozenSet[str]" = frozenset(
-    {"_ShardCursor", "_ShardOutcome", "WatermarkBracket"}
-)
+#: Classes whose instances are private to one worker until the
+#: sequential merge.  Storing one of these into a shared class (or a
+#: module global) from root-reachable code is a thread escape (L603).
+WORKER_LOCAL_CLASSES: "FrozenSet[str]" = frozenset({"WatermarkBracket"})
 
 #: Thread-entry roots the call-site inference cannot see, declared as
-#: ``(logical module path, function qualname)``.  ``_scan_shard`` is
-#: submitted through the ``ShardExecutor.run`` seam (the task closures
-#: are built by a factory, so no ``submit(<name>)`` site exists), and
-#: the scheduler hook is registered through a ``self._listener``
-#: indirection.
+#: ``(logical module path, function qualname)``.  The scheduler hook is
+#: registered through a ``self._listener`` indirection, so no
+#: ``submit(<name>)``-style site names it.
 DECLARED_THREAD_ROOTS: "Set[Tuple[str, str]]" = {
-    ("core/shard.py", "_scan_shard"),
     ("core/scheduler.py", "RefreshScheduler._on_commit"),
 }
 

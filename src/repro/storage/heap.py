@@ -93,10 +93,11 @@ class HeapFile:
         # observer's sequence numbers).
         self._write_observers: "list[Callable[[str, Rid], None]]" = []
         # Guards the write counters, record count, and observer
-        # notification order: sharded refresh workers repair annotations
-        # on disjoint pages concurrently, and the read-modify-write
-        # counter bumps (and observer sequence numbering) must stay
-        # exact.  Leaf lock — never held across a pin or a table lock.
+        # notification order: ``drain_registry`` workers refresh (and so
+        # repair annotations) concurrently with each other and with the
+        # scheduler's commit listener, and the read-modify-write counter
+        # bumps (and observer sequence numbering) must stay exact.  Leaf
+        # lock — never held across a pin or a table lock.
         self._write_mutex = threading.Lock()
 
     def observe_writes(
@@ -265,8 +266,9 @@ class HeapFile:
         try:
             page.update(rid.slot_no, record)
             # Benign race: the free-space hint is advisory — a torn or
-            # lost update only costs a later writer one extra pin probe,
-            # and shard fix-up writers touch disjoint pages anyway.
+            # lost update from a ``drain_registry`` worker's fix-up or
+            # the scheduler's commit listener only costs a later writer
+            # one extra pin probe.
             self._free_hint[rid.page_no] = page.free_bytes()  # replint: ignore[L601]
             if self.summaries is not None:
                 self.summaries.note_update(rid, record)

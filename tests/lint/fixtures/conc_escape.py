@@ -1,8 +1,8 @@
-"""Seeded L603: a worker-local cursor escapes to the shared registry.
+"""Seeded L603: a worker-local bracket escapes to the shared registry.
 
 Publication happens *under the registry lock*, so no L601 fires — the
 escape is the defect: another root can observe the worker's private
-cursor before the sequential merge.  ``merge`` builds the same cursor
+bracket before the sequential merge.  ``merge`` builds the same bracket
 on a main-only path and is clean.
 """
 
@@ -10,9 +10,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 
-class _ShardCursor:
-    def __init__(self, shard_no: int) -> None:
-        self.shard_no = shard_no
+class WatermarkBracket:
+    def __init__(self, index: int) -> None:
+        self.index = index
         self.rows = []
 
 
@@ -22,16 +22,16 @@ class SnapshotRegistry:
         self._claims = {}
 
 
-def scan_worker(registry: SnapshotRegistry, shard_no: int) -> list:
-    cursor = _ShardCursor(shard_no)
+def scan_worker(registry: SnapshotRegistry, index: int) -> list:
+    bracket = WatermarkBracket(index)
     with registry._lock:
-        registry._claims[shard_no] = cursor  # line 28: L603
-    return cursor.rows
+        registry._claims[index] = bracket  # line 28: L603
+    return bracket.rows
 
 
-def merge(registry: SnapshotRegistry, shard_no: int) -> "_ShardCursor":
-    cursor = _ShardCursor(shard_no)
-    return cursor
+def merge(registry: SnapshotRegistry, index: int) -> "WatermarkBracket":
+    bracket = WatermarkBracket(index)
+    return bracket
 
 
 def run(registry: SnapshotRegistry) -> None:
