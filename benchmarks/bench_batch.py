@@ -16,7 +16,12 @@ actually *faster*:
   (same machine, same process, so the ratio is hardware-independent);
 - **scan**: refresh rows/s with ``batch_mode`` on vs off over a
   clustered-update workload on an eager-annotated table, asserting the
-  message streams agree round for round.
+  message streams agree round for round;
+- **dirty scan**: the same comparison on a lazy table with 5% uniform
+  writes (60/20/20 update/insert/delete) between refreshes, so nearly
+  every page carries NULL annotations or chain anomalies and the scan
+  repairs as it goes (Figure 7).  Streams and fix-up counters must
+  agree round for round; rows/s is reported, not gated.
 
 The acceptance ratios are ≥5x codec decode and ≥3x scan throughput.
 Absolute numbers land in ``BENCH_refresh.json`` under
@@ -63,6 +68,10 @@ REPEATS = 15
 #: Clustered update activity between timed refresh rounds.
 SCAN_ROUNDS = 4
 SCAN_FRACTION = 0.01
+#: Uniform lazy write activity between dirty-scan rounds, and its
+#: (update, insert, delete) mix.
+DIRTY_FRACTION = 0.05
+DIRTY_MIX = (0.6, 0.2, 0.2)
 SEED = 1986
 
 #: PR-4 recorded wire decode rate (BENCH_refresh.json at the time the
@@ -243,6 +252,93 @@ def _scan_throughput(n: int) -> dict:
     }
 
 
+def _dirty_scan_mode(n: int, batch_mode: bool):
+    """Refresh rounds over uniform lazy writes, one scan mode.
+
+    Summaries stay off so every refresh walks every page; the writes
+    leave NULL annotations and broken chains on nearly all of them, so
+    what is timed is the combined fix-up + refresh pass.
+    """
+    db = Database("bench-dirty", buffer_capacity=1024)
+    table = db.create_table("t", _schema(), annotations="lazy")
+    live = table.bulk_load(
+        [[i, f"name-{i:05d}", i * 100, i % 13, i % 97] for i in range(n)]
+    )
+    restriction = Restriction.parse("v < 10", table.schema)
+    projection = Projection(table.schema)
+    refresher = DifferentialRefresher(
+        table, use_page_summaries=False, batch_mode=batch_mode
+    )
+    first = refresher.refresh(0, restriction, projection, lambda m: None)
+    snap_time = first.new_snap_time
+
+    rng = random.Random(SEED)
+    writes = max(1, int(n * DIRTY_FRACTION))
+    elapsed = 0.0
+    scanned = 0
+    rounds = []
+    result = first
+    for _ in range(SCAN_ROUNDS):
+        for _ in range(writes):
+            roll = rng.random()
+            if roll < DIRTY_MIX[0]:
+                table.update(
+                    live[rng.randrange(len(live))], {"v": rng.randrange(97)}
+                )
+            elif roll < DIRTY_MIX[0] + DIRTY_MIX[1]:
+                i = n + rng.randrange(n)
+                live.append(
+                    table.insert([i, f"name-{i:05d}", i, i % 13, rng.randrange(97)])
+                )
+            else:
+                table.delete(live.pop(rng.randrange(len(live))))
+        messages: list = []
+        begin = time.perf_counter()
+        result = refresher.refresh(
+            snap_time, restriction, projection, messages.append
+        )
+        elapsed += time.perf_counter() - begin
+        snap_time = result.new_snap_time
+        scanned += result.scanned
+        rounds.append(
+            (
+                [repr(m) for m in messages],
+                result.fixup_writes,
+                result.deletions_detected,
+            )
+        )
+    return elapsed, scanned, result, rounds
+
+
+def _dirty_scan_throughput(n: int) -> dict:
+    t_row, scanned_row, r_row, rounds_row = _dirty_scan_mode(n, False)
+    t_batch, scanned_batch, r_batch, rounds_batch = _dirty_scan_mode(n, True)
+    # Same seed, same writes: streams and fix-up work agree per round.
+    assert rounds_batch == rounds_row, "dirty batch scan diverged from row mode"
+    assert scanned_batch == scanned_row
+    assert r_batch.pages_batch_decoded == r_batch.pages_scanned, r_batch
+    return {
+        "n": n,
+        "rounds": SCAN_ROUNDS,
+        "write_fraction": DIRTY_FRACTION,
+        "mix": list(DIRTY_MIX),
+        "seconds_row": t_row,
+        "seconds_batch": t_batch,
+        "rows_per_sec_row": scanned_row / t_row,
+        "rows_per_sec_batch": scanned_batch / t_batch,
+        "speedup": t_row / t_batch if t_batch else float("inf"),
+        # Last-round counters: every page batch-served, none reusable
+        # (each was written since the previous refresh).
+        "pages_scanned": r_batch.pages_scanned,
+        "pages_batch_decoded": r_batch.pages_batch_decoded,
+        "batches_reused": r_batch.batches_reused,
+        "fixup_writes": r_batch.fixup_writes,
+        "deletions_detected": r_batch.deletions_detected,
+        "rows_decoded_row": r_row.rows_decoded,
+        "rows_decoded_batch": r_batch.rows_decoded,
+    }
+
+
 def _recorded_floor() -> "float | None":
     """The decode floor recorded by the last full run, if any."""
     path = os.path.join(REPO_ROOT, "BENCH_refresh.json")
@@ -300,6 +396,7 @@ def run(n: int = N):
     floor = _recorded_floor()
     throughput = _codec_throughput()
     scan = _scan_throughput(n)
+    dirty = _dirty_scan_throughput(n)
     emit(
         "batch_hot_path",
         f"A17: batch vs per-row hot paths (codec {CODEC_MESSAGES} msgs, "
@@ -324,6 +421,12 @@ def run(n: int = N):
                 f"{scan['rows_per_sec_batch']:,.0f}",
                 f"{scan['speedup']:.1f}x",
             ],
+            [
+                f"dirty scan rows/s ({DIRTY_FRACTION:.0%} writes)",
+                f"{dirty['rows_per_sec_row']:,.0f}",
+                f"{dirty['rows_per_sec_batch']:,.0f}",
+                f"{dirty['speedup']:.1f}x",
+            ],
         ],
     )
     print(
@@ -333,9 +436,12 @@ def run(n: int = N):
         f"scan reuse {scan['batches_reused']}/{scan['pages_batch_decoded']} "
         f"pages, {scan['rows_materialized']} rows materialized"
     )
-    emit_json("batch_hot_path", {"throughput": throughput, "scan": scan})
+    emit_json(
+        "batch_hot_path",
+        {"throughput": throughput, "scan": scan, "scan_dirty": dirty},
+    )
     _check(throughput, scan, n, floor)
-    return {"throughput": throughput, "scan": scan}
+    return {"throughput": throughput, "scan": scan, "scan_dirty": dirty}
 
 
 def test_batch_hot_path():

@@ -21,10 +21,14 @@ which is exactly Figure 3 (:func:`base_refresh`).
 The scan itself goes beyond the paper in two cost dimensions (without
 changing a single transmitted byte):
 
-*Partial decode.*  Each scanned entry is probed with
-:func:`~repro.relation.row.decode_fields` for just its annotations and
-the restriction's columns; the full row is decoded only when the entry is
-actually transmitted.
+*Columnar pages.*  With ``batch_mode`` each page the scan reads is
+served from a :class:`~repro.storage.batch.PageBatch`: the fix-up runs
+over its annotation columns as ints, every cursor qualifies the page
+with its restriction's generated kernel over one shared partial decode
+of the restriction columns, and the full row is decoded only when an
+entry is actually transmitted.  Without it, each entry is probed with
+:func:`~repro.relation.row.decode_fields` and decided one at a time —
+the per-row reference the byte-identity properties compare against.
 
 *Page skipping* (``use_page_summaries``).  With
 :class:`~repro.storage.summary.PageSummary` maintenance attached to the
@@ -88,12 +92,44 @@ from repro.relation.row import (
 )
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
+from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
 from repro.storage.rid import Rid
 from repro.storage.summary import PageQualInfo
 from repro.table import PREVADDR, TIMESTAMP, Table
 from repro.txn.clock import WatermarkBracket
 
 Send = Callable[[RefreshMessage], None]
+
+#: Per-entry fix-up verdicts the batch scan hands each cursor (one byte
+#: per live entry; see :meth:`RefreshCursor.serve_batch`).
+#: NULL ``PrevAddr``: inserted since the last fix-up.
+PURE_INSERT = 1
+#: NULL ``TimeStamp``: updated since the last fix-up.
+NULL_TS = 2
+#: ``PrevAddr`` != ``ExpectPrev``: deletion(s) detected just before.
+ANOMALY = 4
+#: Verdicts that make an entry value-changed for every cursor.
+_CHANGED = PURE_INSERT | NULL_TS
+
+
+def _arms_deletion(
+    flags: "bytearray",
+    ts: "Sequence[int]",
+    arms: int,
+    snap_time: int,
+    start: int,
+    stop: int,
+) -> bool:
+    """Whether an unqualified entry in ``[start, stop)`` arms ``Deletion``.
+
+    A flagged entry arms when one of its verdicts is in ``arms``; a
+    flag-free one when its timestamp is newer than ``snap_time``.
+    """
+    for index in range(start, stop):
+        flag = flags[index]
+        if (flag & arms) if flag else ts[index] > snap_time:
+            return True
+    return False
 
 
 class ValueCache:
@@ -221,16 +257,16 @@ class RefreshResult:
         #: page for other cursors.  Equals ``pages_skipped`` for a solo
         #: refresh.
         self.pages_fast_forwarded = 0
-        #: Pages served through the columnar batch path (a subset of
-        #: ``pages_scanned``; the remainder took the per-row path).
+        #: Pages served through the columnar batch path: every scanned
+        #: page with ``batch_mode`` on, none without.
         self.pages_batch_decoded = 0
         #: Of the batch-served pages, how many reused a cached
         #: :class:`~repro.storage.batch.PageBatch` (same page version)
         #: instead of re-extracting under a pin.
         self.batches_reused = 0
-        #: Full-row decodes charged to batch-served pages — the batch
-        #: path's analogue of ``rows_decoded``, which it leaves at the
-        #: per-row path's count so the decode saving stays visible.
+        #: Full-row decodes on batch-served pages (``rows_decoded``
+        #: counts their partial decodes, so the two show what the
+        #: batch path saves).
         self.rows_materialized = 0
         #: Watermark-bracketed chunks a chunked scan ran (0 = monolithic).
         self.chunks_scanned = 0
@@ -464,58 +500,77 @@ class RefreshCursor:
                     # "Updated entry ==> may have qualified before".
                     self.deletion = True
 
-    def serve_batch(self, batch) -> None:
-        """Apply one *eligible* page's columnar batch to this cursor.
+    def serve_batch(
+        self,
+        batch: PageBatch,
+        flags: "Optional[bytearray]",
+        positions: "tuple[int, ...]",
+    ) -> None:
+        """Apply one page's columnar batch to this cursor.
 
         Equivalent to calling :meth:`observe` for every live entry in
-        slot order, specialized for the facts the scan's eligibility
-        test proved about the page: no entry is a pure insert or
-        carries a NULL annotation, and the scan performs no fix-up
-        write on it (so ``anomaly`` is False throughout).  The Figure-3
-        inputs that remain — each entry's timestamp and qualification —
-        come from the batch's columnar array and memoized
-        qualification index instead of per-row probes, and full rows
-        are materialized only for entries actually transmitted.
+        slot order.  ``flags`` carries the scan's fix-up verdict per
+        entry (:data:`PURE_INSERT`, :data:`NULL_TS`, :data:`ANOMALY`),
+        or is ``None`` when the scan wrote nothing on the page and
+        detected no anomaly — the all-zero case, where no entry is a
+        pure insert or carries a NULL annotation.  Each entry's
+        timestamp comes from the batch's array and its qualification
+        from the memoized kernel index (computed over the probe at
+        ``positions``, the scan's shared partial decode); full rows are
+        materialized only for entries actually transmitted.
         """
         result = self.result
         count = batch.count
         result.scanned += count
         result.entries_evaluated += count
-        qual = batch.qualifying(self.restriction)
+        qual = batch.qualifying(self.restriction, positions)
         nqual = len(qual)
         snap_time = self.snap_time
         ts = batch.ts
-        if not nqual:
-            # Unqualified-but-changed entries still arm the Deletion
-            # flag ("may have qualified before") for the next page.
-            if not self.deletion and batch.max_live_ts > snap_time:
-                self.deletion = True
-            return
-        result.qualified += nqual
-        page_no = batch.page_no
-        slots = batch.slots
-        self._page_qual_count += nqual
-        if self._page_first_qual is None:
-            self._page_first_qual = Rid(page_no, slots[qual[0]])
-        last_qual_rid = Rid(page_no, slots[qual[nqual - 1]])
-        self._page_last_qual = last_qual_rid
-        if batch.max_live_ts <= snap_time and not self.deletion:
-            # Nothing on the page is newer than SnapTime and no
-            # deletion is pending: every qualified entry is carried
-            # unchanged and the flag cannot arm mid-page.
-            if self._staged_values is not None:
-                for qi in qual:
-                    self._carry_value(Rid(page_no, slots[qi]))
-            self.last_qual = last_qual_rid
-            return
-        qi = 0
-        next_qual = qual[0]
-        for index in range(count):
-            changed = ts[index] > snap_time
-            if index == next_qual:
+        if flags is None:
+            if not nqual:
+                # Unqualified-but-changed entries still arm the Deletion
+                # flag ("may have qualified before") for the next page.
+                if not self.deletion and batch.max_live_ts > snap_time:
+                    self.deletion = True
+                return
+            if batch.max_live_ts <= snap_time and not self.deletion:
+                # Nothing on the page is newer than SnapTime and no
+                # deletion is pending: every qualified entry is carried
+                # unchanged and the flag cannot arm mid-page.
+                page_no = batch.page_no
+                slots = batch.slots
+                self._note_page_quals(page_no, slots, qual)
+                if self._staged_values is not None:
+                    for qi in qual:
+                        self._carry_value(Rid(page_no, slots[qi]))
+                self.last_qual = Rid(page_no, slots[qual[-1]])
+                return
+            flags = bytearray(count)
+        # An unqualified entry arms Deletion ("may have qualified
+        # before") when it changed or sits after a detected deletion —
+        # unless it is a pure insert and pure inserts are suppressed.
+        arms = NULL_TS | ANOMALY
+        if not self.suppress_pure_inserts:
+            arms |= PURE_INSERT
+        deletion = self.deletion
+        start = 0
+        if nqual:
+            page_no = batch.page_no
+            slots = batch.slots
+            self._note_page_quals(page_no, slots, qual)
+            optimize_deletes = self.optimize_deletes
+            for index in qual:
+                if not deletion:
+                    deletion = _arms_deletion(flags, ts, arms, snap_time, start, index)
+                start = index + 1
+                flag = flags[index]
+                changed = flag & _CHANGED or ts[index] > snap_time
                 rid = Rid(page_no, slots[index])
-                if changed or self.deletion:
-                    if self.optimize_deletes and not changed:
+                if changed or deletion or flag & ANOMALY:
+                    if optimize_deletes and not changed:
+                        # Entry itself unchanged; only the preceding
+                        # region needs clearing.
                         self.transmit(DeleteRangeMessage(self.last_qual, rid))
                         self._carry_value(rid)
                     else:
@@ -528,11 +583,21 @@ class RefreshCursor:
                 else:
                     self._carry_value(rid)
                 self.last_qual = rid
-                self.deletion = False
-                qi += 1
-                next_qual = qual[qi] if qi < nqual else -1
-            elif changed:
-                self.deletion = True
+                deletion = False
+        if not deletion:
+            deletion = _arms_deletion(flags, ts, arms, snap_time, start, count)
+        self.deletion = deletion
+
+    def _note_page_quals(
+        self, page_no: int, slots: "Sequence[int]", qual: "Sequence[int]"
+    ) -> None:
+        """Fold a page's qualifying entries into the qualification cache."""
+        nqual = len(qual)
+        self.result.qualified += nqual
+        self._page_qual_count += nqual
+        if self._page_first_qual is None:
+            self._page_first_qual = Rid(page_no, slots[qual[0]])
+        self._page_last_qual = Rid(page_no, slots[qual[-1]])
 
     def _value_message(self, rid: Rid, projected: Row) -> RefreshMessage:
         """Full entry, or a per-column delta when the mirror allows it.
@@ -618,6 +683,7 @@ class _ScanPass:
         "batch_mode",
         "isolate_failures",
         "probe_positions",
+        "batch_positions",
         "probe_prev",
         "probe_ts",
         "width",
@@ -646,14 +712,19 @@ class _ScanPass:
         self.isolate_failures = isolate_failures
         schema = table.schema
         self.schema = schema
-        # The batch extractor reads annotations as a fixed record tail; a
-        # schema without that layout always takes the per-row path.
-        self.batch_mode = batch_mode and table._ann_trailing
         prev_pos = schema.position(PREVADDR)
         ts_pos = schema.position(TIMESTAMP)
 
         self.heap = table.heap
         self.summaries = self.heap.summaries if use_page_summaries else None
+        # Batches are versioned by the heap's page summaries, and the
+        # extractor reads annotations as a fixed record tail; without
+        # both every page takes the per-row path.
+        self.batch_mode = (
+            batch_mode
+            and table._ann_trailing
+            and self.heap.summaries is not None
+        )
 
         # One decode_fields probe per entry covers the annotations plus
         # the union of every cursor's restriction columns; the full row
@@ -667,6 +738,9 @@ class _ScanPass:
         self.probe_positions = tuple(
             sorted(restr_positions | {prev_pos, ts_pos})
         )
+        # The batch path reads annotations from the batch's arrays, so
+        # its shared probe covers the restriction columns only.
+        self.batch_positions = tuple(sorted(restr_positions))
         self.probe_prev = self.probe_positions.index(prev_pos)
         self.probe_ts = self.probe_positions.index(ts_pos)
         self.width = len(schema)
@@ -689,20 +763,9 @@ class _ScanPass:
         self, cursors: "Sequence[RefreshCursor]", start: int, stop: int
     ) -> None:
         """Serve every cursor over heap pages ``[start, stop)``."""
-        table = self.table
-        schema = self.schema
-        heap = self.heap
         summaries = self.summaries
         fixup = self.fixup
-        isolate_failures = self.isolate_failures
-        probe_positions = self.probe_positions
-        probe_prev = self.probe_prev
-        probe_ts = self.probe_ts
-        width = self.width
         stats = self.stats
-        fixup_time = self.fixup_time
-        expect_prev = self.expect_prev
-        last_addr = self.last_addr
 
         for page_no in range(start, stop):
             live = [cursor for cursor in cursors if not cursor.failed]
@@ -710,6 +773,8 @@ class _ScanPass:
                 self.completed = False
                 break  # every output failed; nothing left to serve
 
+            expect_prev = self.expect_prev
+            last_addr = self.last_addr
             scanning: "list[RefreshCursor]" = []
             skipping: "list[tuple[RefreshCursor, PageQualInfo]]" = []
             summary = summaries.get(page_no) if summaries is not None else None
@@ -759,158 +824,17 @@ class _ScanPass:
                 stats.pages_skipped += 1
                 info = skipping[0][1]
                 if info.last_live is not None:
-                    last_addr = info.last_live
-                    expect_prev = info.last_live
+                    self.last_addr = info.last_live
+                    self.expect_prev = info.last_live
                 continue
 
             stats.pages_scanned += 1
             for cursor in scanning:
                 cursor.begin_page()
-
-            if self.batch_mode and heap.summaries is not None:
-                # A summary reporting NULL slots dooms eligibility before
-                # extraction; don't build (and cache) a batch the fix-up
-                # pass is about to invalidate anyway.
-                if heap.summaries.get_or_create(page_no).null_slots:
-                    looked = None
-                else:
-                    looked = heap.page_batch(page_no, schema)
-                if looked is not None:
-                    batch, reused = looked
-                    if not batch.has_nulls and (
-                        not fixup
-                        or (
-                            batch.chain_ok
-                            and last_addr == expect_prev
-                            and (
-                                batch.count == 0
-                                or batch.first_prev == expect_prev
-                            )
-                        )
-                    ):
-                        # The batch proves the scan writes nothing here
-                        # and detects no anomaly: serve every cursor
-                        # columnar.
-                        stats.pages_batch_decoded += 1
-                        if reused:
-                            stats.batches_reused += 1
-                        stats.scanned += batch.count
-                        decodes_before = batch.materializations
-                        for cursor in scanning:
-                            if cursor.failed:
-                                continue
-                            if isolate_failures:
-                                try:
-                                    cursor.serve_batch(batch)
-                                except ChannelError as error:
-                                    cursor.fail(error)
-                            else:
-                                cursor.serve_batch(batch)
-                        stats.rows_materialized += (
-                            batch.materializations - decodes_before
-                        )
-                        last = batch.last_rid()
-                        if last is not None:
-                            last_addr = last
-                            expect_prev = last
-                        if summaries is not None:
-                            for cursor in scanning:
-                                if cursor.failed or cursor.cache is None:
-                                    continue
-                                cursor.record_page(
-                                    page_no,
-                                    batch.version,
-                                    batch.first_prev,
-                                    last,
-                                )
-                        continue
-
-            page_first_prev: "Optional[Rid]" = None
-            page_last_live: "Optional[Rid]" = None
-            first_on_page = True
-
-            for slot_no, body in heap.page_entries(page_no):
-                rid = Rid(page_no, slot_no)
-                stats.scanned += 1
-                stats.rows_decoded += 1
-                probed = decode_fields(schema, body, probe_positions)
-                prev = probed[probe_prev]
-                ts = probed[probe_ts]
-                orig_ts = ts
-                final_prev = prev
-                pure_insert = False
-                anomaly = False
-                if fixup:
-                    if prev is NULL:
-                        # Inserted since the last fix-up.
-                        pure_insert = True
-                        final_prev = last_addr
-                        table.set_annotations(
-                            rid, prev=last_addr, ts=fixup_time
-                        )
-                        stats.fixup_writes += 1
-                    else:
-                        new_prev: "Optional[Rid]" = None
-                        stamp = False
-                        if ts is NULL:
-                            # Updated since the last fix-up.
-                            stamp = True
-                        if prev != expect_prev:
-                            # Deletion(s) detected before this entry.
-                            new_prev = last_addr
-                            stamp = True
-                            anomaly = True
-                            stats.deletions_detected += 1
-                        elif prev != last_addr:
-                            # Insertions (only) before this entry.
-                            new_prev = last_addr
-                        if new_prev is not None or stamp:
-                            fields: "dict[str, object]" = {}
-                            if new_prev is not None:
-                                fields["prev"] = new_prev
-                                final_prev = new_prev
-                            if stamp:
-                                fields["ts"] = fixup_time
-                            table.set_annotations(rid, **fields)
-                            stats.fixup_writes += 1
-                        expect_prev = rid
-                else:
-                    if ts is NULL:
-                        raise RefreshMethodError(
-                            f"entry {rid} has a NULL timestamp but fix-up "
-                            f"is disabled; run base_fixup first or use a "
-                            f"lazy table"
-                        )
-                last_addr = rid
-                if first_on_page:
-                    page_first_prev = final_prev
-                    first_on_page = False
-                page_last_live = rid
-
-                # Decode once, decide per cursor (Figure 3 per snapshot).
-                sparse: "list[object]" = [None] * width
-                for position, value in zip(probe_positions, probed):
-                    sparse[position] = value
-                entry = _LazyEntry(schema, body)
-                for cursor in scanning:
-                    if cursor.failed:
-                        continue
-                    if isolate_failures:
-                        try:
-                            cursor.observe(
-                                rid,
-                                entry,
-                                sparse,
-                                orig_ts,
-                                pure_insert,
-                                anomaly,
-                            )
-                        except ChannelError as error:
-                            cursor.fail(error)
-                    else:
-                        cursor.observe(
-                            rid, entry, sparse, orig_ts, pure_insert, anomaly
-                        )
+            if self.batch_mode:
+                first_prev, last_live = self._scan_batch(scanning, page_no)
+            else:
+                first_prev, last_live = self._scan_rows(scanning, page_no)
 
             if summaries is not None:
                 # Version read after the fix-up writes above, so the
@@ -924,12 +848,245 @@ class _ScanPass:
                         version = summaries.get_or_create(
                             page_no
                         ).page_version
-                    cursor.record_page(
-                        page_no, version, page_first_prev, page_last_live
+                    cursor.record_page(page_no, version, first_prev, last_live)
+
+    def _scan_batch(
+        self, scanning: "Sequence[RefreshCursor]", page_no: int
+    ) -> "tuple[object, Optional[Rid]]":
+        """Serve one page from its :class:`PageBatch`.
+
+        Returns the page's first final ``PrevAddr`` and last live
+        address for the qualification cache.
+        """
+        stats = self.stats
+        batch, reused = self.heap.page_batch(page_no, self.schema)
+        stats.pages_batch_decoded += 1
+        if reused:
+            stats.batches_reused += 1
+        stats.scanned += batch.count
+        flags, first_prev = self._fix_batch(batch)
+        decodes = batch.decodes
+        materializations = batch.materializations
+        # Every cursor qualifies over the shared probe, so the page's
+        # entries are partial-decoded at most once for the whole pass.
+        positions = self.batch_positions
+        for cursor in scanning:
+            if cursor.failed:
+                continue
+            if self.isolate_failures:
+                try:
+                    cursor.serve_batch(batch, flags, positions)
+                except ChannelError as error:
+                    cursor.fail(error)
+            else:
+                cursor.serve_batch(batch, flags, positions)
+        stats.rows_decoded += batch.decodes - decodes
+        stats.rows_materialized += batch.materializations - materializations
+        return first_prev, batch.last_rid()
+
+    def _fix_batch(
+        self, batch: PageBatch
+    ) -> "tuple[Optional[bytearray], object]":
+        """Figure 7 over one page's annotation arrays.
+
+        Issues exactly the :meth:`Table.set_annotations` calls of the
+        per-row loop (:meth:`_scan_rows`), with the same fields and in
+        the same order, and advances ``expect_prev``/``last_addr`` the
+        same way.  Returns the per-entry flags for
+        :meth:`RefreshCursor.serve_batch` (``None`` when all zero) and
+        the page's first final ``PrevAddr``.
+        """
+        count = batch.count
+        first_prev = batch.first_prev
+        if not count:
+            return None, first_prev
+        page_no = batch.page_no
+        slots = batch.slots
+        last = Rid(page_no, slots[-1])
+        if not self.fixup:
+            if batch.has_nulls:
+                ts = batch.ts
+                for index in range(count):
+                    if ts[index] == TS_NULL:
+                        raise RefreshMethodError(
+                            f"entry {Rid(page_no, slots[index])} has a NULL "
+                            f"timestamp but fix-up is disabled; run "
+                            f"base_fixup first or use a lazy table"
+                        )
+            self.last_addr = last
+            return None, first_prev
+        expect_prev = self.expect_prev
+        last_addr = self.last_addr
+        if (
+            batch.chain_ok
+            and not batch.has_nulls
+            and last_addr == expect_prev
+            and first_prev == expect_prev
+        ):
+            # Intact chain continuing the scan's: nothing to repair.
+            self.expect_prev = self.last_addr = last
+            return None, first_prev
+
+        table = self.table
+        fixup_time = self.fixup_time
+        prev_pages = batch.prev_pages
+        prev_slots = batch.prev_slots
+        ts = batch.ts
+        flags = bytearray(count)
+        writes = 0
+        deletions = 0
+        exp_page, exp_slot = expect_prev.page_no, expect_prev.slot_no
+        last_page, last_slot = last_addr.page_no, last_addr.slot_no
+        for index in range(count):
+            slot = slots[index]
+            prev_page = prev_pages[index]
+            if prev_page == PREV_NULL_PAGE:
+                # Inserted since the last fix-up.
+                flags[index] = PURE_INSERT
+                new_prev = Rid(last_page, last_slot)
+                table.set_annotations(
+                    Rid(page_no, slot), prev=new_prev, ts=fixup_time
+                )
+                writes += 1
+                if not index:
+                    first_prev = new_prev
+            else:
+                prev_slot = prev_slots[index]
+                # Updated since the last fix-up.
+                flag = NULL_TS if ts[index] == TS_NULL else 0
+                if prev_page != exp_page or prev_slot != exp_slot:
+                    # Deletion(s) detected before this entry.
+                    flag |= ANOMALY
+                    deletions += 1
+                    repoint = True
+                else:
+                    # Insertions (only) before this entry.
+                    repoint = prev_page != last_page or prev_slot != last_slot
+                if repoint:
+                    new_prev = Rid(last_page, last_slot)
+                    if flag:
+                        table.set_annotations(
+                            Rid(page_no, slot), prev=new_prev, ts=fixup_time
+                        )
+                    else:
+                        table.set_annotations(Rid(page_no, slot), prev=new_prev)
+                    writes += 1
+                    if not index:
+                        first_prev = new_prev
+                elif flag:
+                    table.set_annotations(Rid(page_no, slot), ts=fixup_time)
+                    writes += 1
+                flags[index] = flag
+                exp_page, exp_slot = page_no, slot
+            last_page, last_slot = page_no, slot
+        self.stats.fixup_writes += writes
+        self.stats.deletions_detected += deletions
+        self.expect_prev = Rid(exp_page, exp_slot)
+        self.last_addr = last
+        return flags, first_prev
+
+    def _scan_rows(
+        self, scanning: "Sequence[RefreshCursor]", page_no: int
+    ) -> "tuple[object, Optional[Rid]]":
+        """The per-row reference path: Figure 7 and Figure 3 per entry.
+
+        Returns the page's first final ``PrevAddr`` and last live
+        address for the qualification cache.
+        """
+        table = self.table
+        schema = self.schema
+        fixup = self.fixup
+        isolate_failures = self.isolate_failures
+        probe_positions = self.probe_positions
+        probe_prev = self.probe_prev
+        probe_ts = self.probe_ts
+        width = self.width
+        stats = self.stats
+        fixup_time = self.fixup_time
+        expect_prev = self.expect_prev
+        last_addr = self.last_addr
+        page_first_prev: object = None
+        page_last_live: "Optional[Rid]" = None
+        first_on_page = True
+
+        for slot_no, body in self.heap.page_entries(page_no):
+            rid = Rid(page_no, slot_no)
+            stats.scanned += 1
+            stats.rows_decoded += 1
+            probed = decode_fields(schema, body, probe_positions)
+            prev = probed[probe_prev]
+            ts = probed[probe_ts]
+            orig_ts = ts
+            final_prev = prev
+            pure_insert = False
+            anomaly = False
+            if fixup:
+                if prev is NULL:
+                    # Inserted since the last fix-up.
+                    pure_insert = True
+                    final_prev = last_addr
+                    table.set_annotations(rid, prev=last_addr, ts=fixup_time)
+                    stats.fixup_writes += 1
+                else:
+                    new_prev: "Optional[Rid]" = None
+                    stamp = False
+                    if ts is NULL:
+                        # Updated since the last fix-up.
+                        stamp = True
+                    if prev != expect_prev:
+                        # Deletion(s) detected before this entry.
+                        new_prev = last_addr
+                        stamp = True
+                        anomaly = True
+                        stats.deletions_detected += 1
+                    elif prev != last_addr:
+                        # Insertions (only) before this entry.
+                        new_prev = last_addr
+                    if new_prev is not None or stamp:
+                        fields: "dict[str, object]" = {}
+                        if new_prev is not None:
+                            fields["prev"] = new_prev
+                            final_prev = new_prev
+                        if stamp:
+                            fields["ts"] = fixup_time
+                        table.set_annotations(rid, **fields)
+                        stats.fixup_writes += 1
+                    expect_prev = rid
+            elif ts is NULL:
+                raise RefreshMethodError(
+                    f"entry {rid} has a NULL timestamp but fix-up "
+                    f"is disabled; run base_fixup first or use a "
+                    f"lazy table"
+                )
+            last_addr = rid
+            if first_on_page:
+                page_first_prev = final_prev
+                first_on_page = False
+            page_last_live = rid
+
+            # Decode once, decide per cursor (Figure 3 per snapshot).
+            sparse: "list[object]" = [None] * width
+            for position, value in zip(probe_positions, probed):
+                sparse[position] = value
+            entry = _LazyEntry(schema, body)
+            for cursor in scanning:
+                if cursor.failed:
+                    continue
+                if isolate_failures:
+                    try:
+                        cursor.observe(
+                            rid, entry, sparse, orig_ts, pure_insert, anomaly
+                        )
+                    except ChannelError as error:
+                        cursor.fail(error)
+                else:
+                    cursor.observe(
+                        rid, entry, sparse, orig_ts, pure_insert, anomaly
                     )
 
         self.expect_prev = expect_prev
         self.last_addr = last_addr
+        return page_first_prev, page_last_live
 
     def finish_cursors(self, cursors: "Sequence[RefreshCursor]") -> None:
         """The quiescent finish: EndOfScan + SnapTime per live cursor."""
@@ -997,19 +1154,14 @@ def run_refresh_scan(
     others performs no fix-up writes and cannot invalidate the skipper's
     cached state.
 
-    With ``batch_mode`` a page that must be read is first offered as a
-    columnar :class:`~repro.storage.batch.PageBatch` (cached on the
-    buffer pool by page version).  A page is *eligible* when the batch
-    proves the scan would neither write to it nor detect an anomaly at
-    it: no NULL annotations anywhere, and under fix-up an intact
-    intra-page chain whose first ``PrevAddr`` equals the scan's
-    ``ExpectPrev`` with no trailing insert pending
-    (``last_addr == expect_prev``).  Eligible pages are served to every
-    scanning cursor from the batch's arrays — byte-identical streams,
-    since every :meth:`RefreshCursor.observe` input is then determined
-    by the timestamp column and the memoized qualification index —
-    while ineligible pages (and tables without trailing annotations)
-    fall back to the per-row path unchanged.
+    With ``batch_mode`` every page that must be read is served from its
+    columnar :class:`~repro.storage.batch.PageBatch` (clean batches are
+    cached on the buffer pool by page version): the fix-up runs over
+    the batch's annotation columns and hands each cursor one flag per
+    entry (:meth:`RefreshCursor.serve_batch`), with the same writes and
+    the same byte-identical streams as the per-row path, which remains
+    the reference for ``batch_mode=False`` (and for tables whose
+    annotations are not a trailing fixed-width tail).
 
     With ``isolate_failures`` a :class:`~repro.errors.ChannelError` on
     one cursor's output marks that cursor failed and the pass continues
@@ -1235,8 +1387,8 @@ class DifferentialRefresher:
         self.use_page_summaries = use_page_summaries
         #: Send per-column UpdateDeltaMessages on value-cache hits.
         self.delta_updates = delta_updates
-        #: Serve eligible pages through the columnar batch path.  Off by
-        #: default so a directly constructed refresher keeps the
+        #: Serve every scanned page through the columnar batch path.
+        #: Off by default so a directly constructed refresher keeps the
         #: per-row baseline; the manager turns it on.
         self.batch_mode = batch_mode
         # Fallback caches for callers that do not thread per-snapshot

@@ -180,9 +180,28 @@ def decode_fields(
         key = tuple(positions)
         probe = schema._field_probes.get(key)
         if probe is None:
-            probe = _compile_probe(schema, key)
+            probe = _compile_probe(schema, key, page=False)
             schema._field_probes[key] = probe
     return probe(data)
+
+
+def page_probe(
+    schema: Schema, positions: "tuple[int, ...]"
+) -> "Callable[[bytes, Sequence[int], Sequence[int]], list[tuple[Any, ...]]]":
+    """:func:`decode_fields` over every record of a page image at once.
+
+    Returns ``probe(image, offsets, lengths)``, the list of
+    ``decode_fields(schema, image[o:o + n], positions)`` for each
+    record's ``(o, n)`` — but reading the fast-path columns straight
+    from the image, so a record is sliced out only when it goes to the
+    reference walker.  Generated from the same plan as the per-record
+    probe and cached on the schema.
+    """
+    probe = schema._page_probes.get(positions)
+    if probe is None:
+        probe = _compile_probe(schema, positions, page=True)
+        schema._page_probes[positions] = probe
+    return probe
 
 
 #: ``struct`` format of each column type a probe reads inline.
@@ -205,9 +224,7 @@ def _probe_value(ctype: ColumnType, var: str) -> "tuple[list[str], str]":
     return [var], var
 
 
-def _compile_probe(
-    schema: Schema, positions: "tuple[int, ...]"
-) -> "Callable[[bytes], tuple[Any, ...]]":
+def _compile_probe(schema: Schema, positions: "tuple[int, ...]", page: bool) -> Any:
     """Generate the :func:`decode_fields` probe for ``positions``.
 
     With the NULL bitmap all zero every column's body is present, so a
@@ -222,12 +239,27 @@ def _compile_probe(
 
     When some wanted column lies in neither region, or is not one of the
     fixed-width types above, the probe is the reference walker itself.
+
+    ``page=False`` builds the per-record probe ``probe(d)``;
+    ``page=True`` builds :func:`page_probe`'s ``probe(d, offsets,
+    lengths)``, whose reads are the same ones offset by each record's
+    start ``o`` within the page image ``d``.
     """
     columns = schema.columns
     bitmap_size = _bitmap_size(len(columns))
 
     def walker(data: bytes) -> "tuple[Any, ...]":
         return _walk_fields(schema, data, positions)
+
+    def page_walker(
+        data: bytes, offsets: "Sequence[int]", lengths: "Sequence[int]"
+    ) -> "list[tuple[Any, ...]]":
+        return [
+            _walk_fields(schema, data[offset : offset + length], positions)
+            for offset, length in zip(offsets, lengths)
+        ]
+
+    fallback = page_walker if page else walker
 
     forward: "dict[int, int]" = {}
     offset = bitmap_size
@@ -250,13 +282,13 @@ def _compile_probe(
     tail: "list[int]" = []
     for position in sorted(set(positions)):
         if type(columns[position].ctype) not in _PROBE_FORMATS:
-            return walker
+            return fallback
         if position in forward:
             head.append(position)
         elif position in backward:
             tail.append(position)
         else:
-            return walker
+            return fallback
 
     namespace: "dict[str, Any]" = {
         "_NULL": NULL,
@@ -264,13 +296,25 @@ def _compile_probe(
         "_W": walker,
         "_Z": bytes(bitmap_size),
     }
-    lines = []
-    if bitmap_size == 1:
-        lines.append("    if d and not d[0]:")
+    # The record starts at `o` of the page image in the page variant,
+    # at 0 of its own bytes otherwise.
+    base = "o + " if page else ""
+    if page:
+        indent = "            "
+        record = "d[o : o + n]"
+        if bitmap_size == 1:
+            test = "n and not d[o]"
+        else:
+            test = "d[o : o + %d] == _Z" % bitmap_size
+        end = "o + n"
     else:
-        lines.append("    if d[:%d] == _Z:" % bitmap_size)
+        indent = "        "
+        record = "d"
+        test = "d and not d[0]" if bitmap_size == 1 else "d[:%d] == _Z" % bitmap_size
+        end = "len(d)"
+    lines = []
     if tail:
-        lines.append("        e = len(d)")
+        lines.append(f"{indent}e = {end}")
     values: "dict[int, str]" = {}
     for region, group in (("head", head), ("tail", tail)):
         if not group:
@@ -288,21 +332,46 @@ def _compile_probe(
         reader = f"_U{region}"
         namespace[reader] = struct.Struct(fmt).unpack_from
         if region == "head":
-            where = str(forward[group[0]])
+            where = f"{base}{forward[group[0]]}"
         else:
             where = f"e - {backward[group[0]]}"
-        lines.append(f"        {', '.join(targets)}, = {reader}(d, {where})")
+        lines.append(f"{indent}{', '.join(targets)}, = {reader}(d, {where})")
     if positions:
-        result = ", ".join(f"({values[position]})" for position in positions)
-        lines.append(f"        return ({result},)")
+        result = "(%s,)" % ", ".join(f"({values[position]})" for position in positions)
     else:
-        lines.append("        return ()")
-    lines.append("    return _W(d)")
-    source = "def _probe(d):\n" + "\n".join(lines) + "\n"
-    code = compile(source, f"<decode_fields probe {positions}>", "exec")
+        result = "()"
+    if page:
+        source = "\n".join(
+            [
+                "def _probe(d, offsets, lengths):",
+                "    out = []",
+                "    append = out.append",
+                "    for o, n in zip(offsets, lengths):",
+                f"        if {test}:",
+                *lines,
+                f"            append({result})",
+                "        else:",
+                f"            append(_W({record}))",
+                "    return out",
+            ]
+        )
+    else:
+        source = "\n".join(
+            [
+                "def _probe(d):",
+                f"    if {test}:",
+                *lines,
+                f"        return {result}",
+                "    return _W(d)",
+            ]
+        )
+    code = compile(
+        source + "\n",
+        f"<{'page' if page else 'decode_fields'} probe {positions}>",
+        "exec",
+    )
     exec(code, namespace)  # noqa: S102 — source rendered from the schema above
-    probe: "Callable[[bytes], tuple[Any, ...]]" = namespace["_probe"]
-    return probe
+    return namespace["_probe"]
 
 
 def _walk_fields(

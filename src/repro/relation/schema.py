@@ -87,6 +87,8 @@ class Schema:
         self._field_probes: (
             "dict[tuple[int, ...], Callable[[bytes], tuple[Any, ...]]]"
         ) = {}
+        #: Their whole-page variants (:func:`repro.relation.row.page_probe`).
+        self._page_probes: "dict[tuple[int, ...], Callable[..., Any]]" = {}
 
     @classmethod
     def of(cls, *specs: "tuple[str, str] | tuple[str, str, bool]") -> "Schema":

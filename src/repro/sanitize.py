@@ -21,7 +21,11 @@ paper's algorithm depends on:
 - **value-cache mirroring** — after a committed refresh, every value
   the sender's cache remembers transmitting is exactly what the
   receiver holds for that address (the precondition of every
-  ``UpdateDeltaMessage``).
+  ``UpdateDeltaMessage``);
+- **batch-cache freshness** — every :class:`~repro.storage.batch.PageBatch`
+  served from the buffer pool's version-keyed cache equals a fresh
+  extraction of the page, since the version key is all that stands
+  between a stale batch and a skipped fix-up.
 
 Every check raises :class:`~repro.errors.SanitizerError` on violation
 and is observation-neutral: heap reads performed by a check save and
@@ -283,6 +287,37 @@ def check_buffer_bounds(pool: Any) -> None:
             f"buffer pool holds {batches} cached page batches over its "
             f"capacity of {capacity}; batch retention is leaking entries"
         )
+
+
+# -- columnar batch cache -----------------------------------------------------
+
+
+def check_cached_batch(heap: Any, page_no: int, batch: Any, schema: Any) -> None:
+    """A batch served from the pool cache equals the page it stands for.
+
+    The scan trusts a cached batch's annotation columns to decide every
+    fix-up write on the page; if a write ever failed to bump the page
+    version, the cache would hand back stale ``PrevAddr``/``TimeStamp``
+    values and the fix-up would silently skip a repair.  Compares slot
+    numbers, timestamps, both ``PrevAddr`` columns and every record body
+    against a fresh extraction under a pin.
+    """
+    from repro.storage.batch import extract_page_batch
+
+    with _StatsGuard(heap):
+        physical = heap._physical(page_no)
+        frame = heap.pool.pin(physical)
+        try:
+            fresh = extract_page_batch(page_no, frame, schema, batch.version)
+        finally:
+            heap.pool.unpin(physical, dirty=False)
+    for field in ("slots", "ts", "prev_pages", "prev_slots", "bodies"):
+        if list(getattr(batch, field)) != list(getattr(fresh, field)):
+            raise SanitizerError(
+                f"heap {heap.name!r}: cached batch of page {page_no} "
+                f"(version {batch.version}) differs from the page in "
+                f"{field!r}; a write did not bump the page version"
+            )
 
 
 # -- anti-entropy convergence -------------------------------------------------

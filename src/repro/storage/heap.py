@@ -328,9 +328,18 @@ class HeapFile:
         pool's version-keyed cache already held the batch (no pin taken,
         one batch stat) — or ``None`` when the heap has no summaries to
         version batches by.  On a miss the page is pinned once, the
-        batch extracted and cached, and the pin released; the page
-        hit/miss stat for that single pin is the only frame traffic.
+        batch extracted, and the pin released; the page hit/miss stat
+        for that single pin is the only frame traffic.
+
+        Only a batch with no NULL annotation and an intact chain is
+        cached: any other page is about to be repaired by the fix-up,
+        whose first write bumps the version and strands the entry.
+        Under ``REPRO_SANITIZE=1`` every cache hit is compared with a
+        fresh extraction of the page (:func:`repro.sanitize.check_cached_batch`).
         """
+        # Imported here: both modules import the relation layer, which
+        # imports this package.
+        from repro import sanitize
         from repro.storage.batch import extract_page_batch
 
         summaries = self.summaries
@@ -340,13 +349,16 @@ class HeapFile:
         physical = self._physical(heap_page)
         cached = self._pool.batch_lookup(physical, version)
         if cached is not None:
+            if sanitize.enabled():
+                sanitize.check_cached_batch(self, heap_page, cached, schema)
             return cached, True
         frame = self._pool.pin(physical)
         try:
             batch = extract_page_batch(heap_page, frame, schema, version)
         finally:
             self._pool.unpin(physical, dirty=False)
-        self._pool.batch_store(physical, batch)
+        if batch.chain_ok and not batch.has_nulls:
+            self._pool.batch_store(physical, batch)
         return batch, False
 
     def scan_rids(self) -> "Iterator[Rid]":

@@ -12,8 +12,11 @@ A17 experiment:
    exactly the message stream of the per-row scan from the same
    ``SnapTime``: same types, same addresses, same values, same modeled
    sizes — for arbitrary workloads, lazy and eager annotations, page
-   summaries on and off, solo and group passes, delete optimization
-   and per-column deltas on and off.
+   summaries on and off, solo, group and chunked passes (with writes
+   at the chunk boundaries), delete optimization, pure-insert
+   suppression and per-column deltas on and off.  It also leaves the
+   same bytes in every record and reports the same fix-up counters,
+   and serves every scanned page from its batch.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -70,15 +73,39 @@ class _ScanWorld:
 
     Streams are captured as message-object lists per snapshot, so the
     batch/row comparison sees every transmitted field — not just final
-    snapshot state.
+    snapshot state.  After every pass the world also records the pass
+    counters the fix-up owns and the stored bytes of every record, so
+    the comparison covers what the scan *wrote* as well as what it
+    sent.
     """
 
-    def __init__(self, batch_mode, summaries, mode, group, delta, opt):
-        self.db = Database("prop-batch")
-        self.table = self.db.create_table(
-            "t", [("v", "int")], annotations=mode
+    def __init__(
+        self,
+        batch_mode,
+        summaries,
+        mode,
+        group,
+        delta,
+        opt,
+        suppress=False,
+        predicates=PREDICATES,
+        wide=False,
+        page_size=None,
+    ):
+        self.db = (
+            Database("prop-batch", page_size=page_size)
+            if page_size
+            else Database("prop-batch")
         )
-        self.live = [self.table.insert([v]) for v in range(0, 100, 9)]
+        columns = [("v", "int"), ("w", "int")] if wide else [("v", "int")]
+        self.table = self.db.create_table("t", columns, annotations=mode)
+        self.wide = wide
+        step = 3 if wide else 9
+        self.live = [
+            self.table.insert(self._values(v)) for v in range(0, 100, step)
+        ]
+        self.batch_mode = batch_mode
+        self.predicates = predicates
         self.summaries = summaries
         self.group = group
         self.delta = delta
@@ -88,32 +115,81 @@ class _ScanWorld:
             batch_mode=batch_mode,
             delta_updates=delta,
             optimize_deletes=opt,
+            suppress_pure_inserts=suppress,
         )
         self.group_refresher = GroupRefresher(
             self.table, use_page_summaries=summaries, batch_mode=batch_mode
         )
         self.opt = opt
-        self.snap_times = [0 for _ in PREDICATES]
-        self.caches = [{} for _ in PREDICATES] if summaries else None
+        self.suppress = suppress
+        self.snap_times = [0 for _ in predicates]
+        self.caches = [{} for _ in predicates] if summaries else None
         self.value_caches = (
-            [ValueCache() for _ in PREDICATES] if delta else None
+            [ValueCache() for _ in predicates] if delta else None
         )
-        self.streams = [[] for _ in PREDICATES]
+        self.streams = [[] for _ in predicates]
+        #: (fix-up writes, deletions detected, record bytes) per pass.
+        self.passes = []
+
+    def _values(self, value):
+        return [value, (value * 7 + 3) % 100] if self.wide else [value]
 
     def _restriction(self, index):
-        return Restriction.parse(PREDICATES[index], self.table.schema)
+        return Restriction.parse(self.predicates[index], self.table.schema)
 
-    def refresh_one(self, index):
+    def _checkpoint(self, result):
+        if self.batch_mode:
+            assert result.pages_batch_decoded == result.pages_scanned
+        else:
+            assert result.pages_batch_decoded == 0
+        self.passes.append(
+            (
+                result.fixup_writes,
+                result.deletions_detected,
+                [(rid, body) for rid, body in self.table.heap.scan()],
+            )
+        )
+
+    def apply(self, op, index, value):
+        if op == "insert":
+            self.live.append(self.table.insert(self._values(value)))
+        elif op == "update" and self.live:
+            self.table.update(self.live[index % len(self.live)], {"v": value})
+        elif op == "delete" and self.live:
+            self.table.delete(self.live.pop(index % len(self.live)))
+
+    def refresh_one(self, index, boundary_writes=None):
         sent = []
-        result = self.refresher.refresh(
-            self.snap_times[index],
-            self._restriction(index),
-            Projection(self.table.schema),
-            sent.append,
+        kwargs = dict(
             cache=self.caches[index] if self.summaries else None,
             value_cache=self.value_caches[index] if self.delta else None,
         )
-        assert result.pages_batch_decoded <= result.pages_scanned
+        if boundary_writes is None:
+            result = self.refresher.refresh(
+                self.snap_times[index],
+                self._restriction(index),
+                Projection(self.table.schema),
+                sent.append,
+                **kwargs,
+            )
+        else:
+
+            def writer(chunk):
+                # A committed writer burst at every chunk boundary.
+                for op in boundary_writes[:2]:
+                    self.apply(*op)
+                del boundary_writes[:2]
+
+            result = self.refresher.refresh_chunked(
+                self.snap_times[index],
+                self._restriction(index),
+                Projection(self.table.schema),
+                sent.append,
+                chunk_pages=1,
+                on_chunk_boundary=writer,
+                **kwargs,
+            )
+        self._checkpoint(result)
         if self.delta:
             self.value_caches[index].commit()
         self.snap_times[index] = result.new_snap_time
@@ -121,10 +197,10 @@ class _ScanWorld:
 
     def refresh_all(self):
         if not self.group:
-            for index in range(len(PREDICATES)):
+            for index in range(len(self.predicates)):
                 self.refresh_one(index)
             return
-        sents = [[] for _ in PREDICATES]
+        sents = [[] for _ in self.predicates]
         cursors = [
             RefreshCursor(
                 self.snap_times[index],
@@ -133,15 +209,17 @@ class _ScanWorld:
                 sents[index].append,
                 cache=self.caches[index] if self.summaries else None,
                 optimize_deletes=self.opt,
+                suppress_pure_inserts=self.suppress,
                 name=f"s{index}",
                 value_cache=(
                     self.value_caches[index] if self.delta else None
                 ),
             )
-            for index in range(len(PREDICATES))
+            for index in range(len(self.predicates))
         ]
         outcome = self.group_refresher.refresh_group(cursors)
         assert not outcome.errors
+        self._checkpoint(outcome.pass_result)
         for index, cursor in enumerate(cursors):
             if self.delta:
                 self.value_caches[index].commit()
@@ -150,28 +228,61 @@ class _ScanWorld:
 
     def replay(self, script):
         for op, index, value in script:
-            if op == "insert":
-                self.live.append(self.table.insert([value]))
-            elif op == "update" and self.live:
-                self.table.update(
-                    self.live[index % len(self.live)], {"v": value}
-                )
-            elif op == "delete" and self.live:
-                self.table.delete(self.live.pop(index % len(self.live)))
-            elif op == "refresh":
-                self.refresh_one(index % len(PREDICATES))
+            if op == "refresh":
+                self.refresh_one(index % len(self.predicates))
             elif op == "refresh_all":
                 self.refresh_all()
+            elif op == "refresh_chunked":
+                # Writes derived from the op itself, so both worlds
+                # interleave the same ones.
+                self.refresh_one(
+                    index % len(self.predicates),
+                    boundary_writes=[
+                        ("update", index + 1, (value + 11) % 100),
+                        ("insert", 0, (value * 3) % 100),
+                        ("delete", index * 7, 0),
+                        ("update", index + 5, (value + 47) % 100),
+                    ],
+                )
+            else:
+                self.apply(op, index, value)
         self.refresh_all()
 
 
-def run_scan_worlds(script, summaries, mode, group, delta=False, opt=False):
-    row = _ScanWorld(False, summaries, mode, group, delta, opt)
-    batch = _ScanWorld(True, summaries, mode, group, delta, opt)
+def run_scan_worlds(script, summaries, mode, group, delta=False, opt=False, **kw):
+    row = _ScanWorld(False, summaries, mode, group, delta, opt, **kw)
+    batch = _ScanWorld(True, summaries, mode, group, delta, opt, **kw)
     row.replay(script)
     batch.replay(script)
     for row_stream, batch_stream in zip(row.streams, batch.streams):
         assert_streams_identical(batch_stream, row_stream)
+    assert len(batch.passes) == len(row.passes)
+    for row_pass, batch_pass in zip(row.passes, batch.passes):
+        assert batch_pass == row_pass
+
+
+#: Lazy churn between refreshes, with chunked refreshes whose chunk
+#: boundaries admit committed writes.
+churn = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "insert",
+                "update",
+                "delete",
+                "refresh",
+                "refresh_all",
+                "refresh_chunked",
+            ]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=99),
+    ),
+    max_size=40,
+)
+
+#: Restrictions over different columns, so a group pass probes a union.
+WIDE_PREDICATES = ("v < 50", "w >= 20", "v >= 30 AND w < 80")
 
 
 class TestScanParity:
@@ -214,3 +325,74 @@ class TestScanParity:
     @given(script=workload)
     def test_group_eager_summaries_off(self, script):
         run_scan_worlds(script, summaries=False, mode="eager", group=True)
+
+
+class TestLazyChurnParity:
+    """Dirty pages: the batch fix-up writes what the per-row fix-up writes.
+
+    Multi-page lazy tables (small pages) take inserts, updates and
+    deletes between refreshes, so nearly every scanned page carries
+    NULL annotations, broken chains or boundary anomalies.  The batch
+    and per-row scans must agree on the stream, on every record's
+    stored bytes after each pass, and on the pass's fix-up counters.
+    """
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(script=churn, summaries=st.booleans(), suppress=st.booleans())
+    def test_solo(self, script, summaries, suppress):
+        run_scan_worlds(
+            script,
+            summaries=summaries,
+            mode="lazy",
+            group=False,
+            suppress=suppress,
+            wide=True,
+            predicates=WIDE_PREDICATES,
+            page_size=256,
+        )
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        script=churn,
+        summaries=st.booleans(),
+        suppress=st.booleans(),
+        opt=st.booleans(),
+    )
+    def test_group(self, script, summaries, suppress, opt):
+        run_scan_worlds(
+            script,
+            summaries=summaries,
+            mode="lazy",
+            group=True,
+            opt=opt,
+            suppress=suppress,
+            wide=True,
+            predicates=WIDE_PREDICATES,
+            page_size=256,
+        )
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(script=churn, delta=st.booleans())
+    def test_chunked_with_interleaved_writer(self, script, delta):
+        run_scan_worlds(
+            script + [("refresh_chunked", 3, 17)],
+            summaries=True,
+            mode="lazy",
+            group=False,
+            delta=delta,
+            wide=True,
+            predicates=WIDE_PREDICATES,
+            page_size=256,
+        )

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.relation.row import Row, _walk_fields, decode_fields, decode_row, encode_row
+from repro.relation.row import (
+    Row,
+    _walk_fields,
+    decode_fields,
+    decode_row,
+    encode_row,
+    page_probe,
+)
 from repro.relation.schema import Column, Schema
 from repro.relation.types import NULL, FloatType, IntType, StringType
 from repro.storage.rid import Rid
@@ -116,6 +123,32 @@ class TestFieldProbe:
                 assert type(got) is type(want) and got == want
         # Cached probe, list-typed positions: same answer.
         assert decode_fields(schema, record, list(positions)) == probed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=probe_case(),
+        pads=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=3),
+    )
+    def test_page_probe_matches_walker(self, case, pads):
+        """The whole-page probe reads each record where it lies."""
+        schema, record, positions = case
+        image = b""
+        offsets = []
+        for pad in pads:
+            image += b"\xa5" * pad
+            offsets.append(len(image))
+            image += record
+        probed = page_probe(schema, positions)(
+            image, offsets, [len(record)] * len(offsets)
+        )
+        walked = _walk_fields(schema, record, positions)
+        assert len(probed) == len(offsets)
+        for values in probed:
+            for got, want in zip(values, walked):
+                if want is NULL:
+                    assert got is NULL
+                else:
+                    assert type(got) is type(want) and got == want
 
     @settings(max_examples=100, deadline=None)
     @given(case=probe_case(), cut=st.integers(min_value=0, max_value=1))

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro import sanitize
+from repro.core.differential import DifferentialRefresher
 from repro.core.manager import SnapshotManager
 from repro.core.messages import (
     RefreshBeginMessage,
@@ -14,6 +15,7 @@ from repro.core.messages import (
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import SanitizerError
+from repro.expr.predicate import Projection, Restriction
 from repro.relation.schema import Column, Schema
 from repro.relation.types import IntType, StringType
 from repro.storage.rid import Rid
@@ -130,6 +132,47 @@ class TestPageSpace:
         pool.unpin(physical, dirty=True)
         with pytest.raises(SanitizerError, match="live bytes"):
             snap.refresh()
+
+
+class TestBatchCache:
+    def _stale_batch_under_current_version(self):
+        db, table, rids = build()
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot("s", "items", where="v < 5")
+        heap = table.heap
+        page_no = rids[0].page_no
+        stale, _ = heap.page_batch(page_no, table.schema)
+        table.update(rids[0], {"v": 3})
+        snap.refresh()
+        # A write that failed to bump the page version would leave the
+        # old batch answering for the new page bytes.
+        stale.version = heap.summaries.get_or_create(page_no).page_version
+        heap.pool.batch_store(heap.physical_pages()[page_no], stale)
+        return table, page_no
+
+    def test_clean_cache_hit_passes(self):
+        db, table, rids = build()
+        SnapshotManager(db).create_snapshot("s", "items", where="v < 5")
+        heap = table.heap
+        heap.page_batch(0, table.schema)
+        _, reused = heap.page_batch(0, table.schema)
+        assert reused
+
+    def test_stale_batch_is_caught_on_lookup(self):
+        table, page_no = self._stale_batch_under_current_version()
+        with pytest.raises(SanitizerError, match="cached batch"):
+            table.heap.page_batch(page_no, table.schema)
+
+    def test_stale_batch_fails_the_next_batch_scan(self):
+        table, _ = self._stale_batch_under_current_version()
+        refresher = DifferentialRefresher(table, batch_mode=True)
+        with pytest.raises(SanitizerError, match="cached batch"):
+            refresher.refresh(
+                0,
+                Restriction.parse("v < 5", table.schema),
+                Projection(table.schema),
+                lambda message: None,
+            )
 
 
 class TestEpochIsolation:
