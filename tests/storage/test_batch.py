@@ -118,14 +118,17 @@ class TestDerivedCaches:
     def test_qualifying_matches_per_row(self, eager):
         batch, _ = get_batch(eager)
         restriction = Restriction.parse("sal < 3", eager.schema)
-        qualified = list(batch.qualifying(restriction))
+        positions = (eager.schema.position("sal"),)
+        qualified = list(batch.qualifying(restriction, positions))
         expected = [
             index
             for index in range(batch.count)
             if restriction(batch.row(index))
         ]
         assert qualified == expected
-        assert batch.qualifying(restriction) is batch.qualifying(restriction)
+        assert batch.qualifying(restriction, positions) is batch.qualifying(
+            restriction, positions
+        )
 
     def test_probe_values_memoized(self, eager):
         batch, _ = get_batch(eager)
