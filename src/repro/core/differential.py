@@ -86,7 +86,6 @@ from repro.relation.row import (
     Row,
     decode_fields,
     decode_row,
-    encode_row,
     encoded_fields_size,
     encoded_size,
 )
@@ -607,6 +606,7 @@ class RefreshCursor:
         pay the column bitmap for nothing.
         """
         values = projected.values
+        full_bytes = encoded_size(self.value_schema, projected)
         if self.value_cache is not None:
             old = self.value_cache.lookup(rid)
             if old is not None and len(old) == len(values):
@@ -624,7 +624,6 @@ class RefreshCursor:
                     [values[index] for index in positions],
                 )
                 mask_bytes = max(1, (mask.bit_length() + 7) // 8)
-                full_bytes = encoded_size(self.value_schema, projected)
                 if mask_bytes + delta_bytes < full_bytes:
                     return UpdateDeltaMessage(
                         rid,
@@ -633,8 +632,7 @@ class RefreshCursor:
                         tuple(values[index] for index in positions),
                         delta_bytes,
                     )
-        value_bytes = len(encode_row(self.value_schema, projected))
-        return EntryMessage(rid, self.last_qual, values, value_bytes)
+        return EntryMessage(rid, self.last_qual, values, full_bytes)
 
     def _carry_value(self, rid: Rid) -> None:
         """A qualified entry the receiver keeps unchanged: mirror it on."""
@@ -717,14 +715,9 @@ class _ScanPass:
 
         self.heap = table.heap
         self.summaries = self.heap.summaries if use_page_summaries else None
-        # Batches are versioned by the heap's page summaries, and the
-        # extractor reads annotations as a fixed record tail; without
-        # both every page takes the per-row path.
-        self.batch_mode = (
-            batch_mode
-            and table._ann_trailing
-            and self.heap.summaries is not None
-        )
+        # Batches are versioned by the heap's page summaries; without
+        # them every page takes the per-row path.
+        self.batch_mode = batch_mode and self.heap.summaries is not None
 
         # One decode_fields probe per entry covers the annotations plus
         # the union of every cursor's restriction columns; the full row
@@ -889,10 +882,11 @@ class _ScanPass:
     ) -> "tuple[Optional[bytearray], object]":
         """Figure 7 over one page's annotation arrays.
 
-        Issues exactly the :meth:`Table.set_annotations` calls of the
-        per-row loop (:meth:`_scan_rows`), with the same fields and in
-        the same order, and advances ``expect_prev``/``last_addr`` the
-        same way.  Returns the per-entry flags for
+        Makes exactly the writes of the per-row loop (:meth:`_scan_rows`),
+        with the same fields and in the same order, but as one page-form
+        :meth:`Table.set_annotations` call, and advances
+        ``expect_prev``/``last_addr`` the same way.  Returns the
+        per-entry flags for
         :meth:`RefreshCursor.serve_batch` (``None`` when all zero) and
         the page's first final ``PrevAddr``.
         """
@@ -927,13 +921,12 @@ class _ScanPass:
             self.expect_prev = self.last_addr = last
             return None, first_prev
 
-        table = self.table
         fixup_time = self.fixup_time
         prev_pages = batch.prev_pages
         prev_slots = batch.prev_slots
         ts = batch.ts
         flags = bytearray(count)
-        writes = 0
+        patches: "list[tuple[int, Optional[Rid], Optional[int]]]" = []
         deletions = 0
         exp_page, exp_slot = expect_prev.page_no, expect_prev.slot_no
         last_page, last_slot = last_addr.page_no, last_addr.slot_no
@@ -944,10 +937,7 @@ class _ScanPass:
                 # Inserted since the last fix-up.
                 flags[index] = PURE_INSERT
                 new_prev = Rid(last_page, last_slot)
-                table.set_annotations(
-                    Rid(page_no, slot), prev=new_prev, ts=fixup_time
-                )
-                writes += 1
+                patches.append((slot, new_prev, fixup_time))
                 if not index:
                     first_prev = new_prev
             else:
@@ -964,22 +954,17 @@ class _ScanPass:
                     repoint = prev_page != last_page or prev_slot != last_slot
                 if repoint:
                     new_prev = Rid(last_page, last_slot)
-                    if flag:
-                        table.set_annotations(
-                            Rid(page_no, slot), prev=new_prev, ts=fixup_time
-                        )
-                    else:
-                        table.set_annotations(Rid(page_no, slot), prev=new_prev)
-                    writes += 1
+                    patches.append((slot, new_prev, fixup_time if flag else None))
                     if not index:
                         first_prev = new_prev
                 elif flag:
-                    table.set_annotations(Rid(page_no, slot), ts=fixup_time)
-                    writes += 1
+                    patches.append((slot, None, fixup_time))
                 flags[index] = flag
                 exp_page, exp_slot = page_no, slot
             last_page, last_slot = page_no, slot
-        self.stats.fixup_writes += writes
+        if patches:
+            self.table.set_annotations(page_no, patches)
+        self.stats.fixup_writes += len(patches)
         self.stats.deletions_detected += deletions
         self.expect_prev = Rid(exp_page, exp_slot)
         self.last_addr = last
@@ -1025,7 +1010,9 @@ class _ScanPass:
                     # Inserted since the last fix-up.
                     pure_insert = True
                     final_prev = last_addr
-                    table.set_annotations(rid, prev=last_addr, ts=fixup_time)
+                    table.set_annotations(
+                        page_no, [(slot_no, last_addr, fixup_time)]
+                    )
                     stats.fixup_writes += 1
                 else:
                     new_prev: "Optional[Rid]" = None
@@ -1043,13 +1030,12 @@ class _ScanPass:
                         # Insertions (only) before this entry.
                         new_prev = last_addr
                     if new_prev is not None or stamp:
-                        fields: "dict[str, object]" = {}
                         if new_prev is not None:
-                            fields["prev"] = new_prev
                             final_prev = new_prev
-                        if stamp:
-                            fields["ts"] = fixup_time
-                        table.set_annotations(rid, **fields)
+                        table.set_annotations(
+                            page_no,
+                            [(slot_no, new_prev, fixup_time if stamp else None)],
+                        )
                         stats.fixup_writes += 1
                     expect_prev = rid
             elif ts is NULL:
@@ -1201,7 +1187,7 @@ def _repair_page(
         if not cursor.restriction(row.values):
             continue
         projected = cursor.projection(row)
-        value_bytes = len(encode_row(cursor.value_schema, projected))
+        value_bytes = encoded_size(cursor.value_schema, projected)
         cursor.transmit(
             UpsertMessage(rid, projected.values, value_bytes)
         )

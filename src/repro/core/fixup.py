@@ -96,7 +96,9 @@ def base_fixup(table: Table, fixup_time: Optional[int] = None) -> FixupResult:
         prev, ts = decode_fields(table.schema, body, positions)
         if prev is NULL:
             # Inserted since the last fix-up.
-            table.set_annotations(rid, prev=last_addr, ts=fixup_time)
+            table.set_annotations(
+                rid.page_no, [(rid.slot_no, last_addr, fixup_time)]
+            )
             result.inserted += 1
             result.writes += 1
         else:
@@ -117,12 +119,9 @@ def base_fixup(table: Table, fixup_time: Optional[int] = None) -> FixupResult:
                 if new_ts is None:
                     result.repointed_only += 1
             if new_prev is not None or new_ts is not None:
-                fields: "dict[str, object]" = {}
-                if new_prev is not None:
-                    fields["prev"] = new_prev
-                if new_ts is not None:
-                    fields["ts"] = new_ts
-                table.set_annotations(rid, **fields)
+                table.set_annotations(
+                    rid.page_no, [(rid.slot_no, new_prev, new_ts)]
+                )
                 result.writes += 1
             expect_prev = rid
         last_addr = rid

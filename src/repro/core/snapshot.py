@@ -107,6 +107,7 @@ class SnapshotTable:
         )
         self.schema = self.storage.schema
         self._baseaddr_pos = self.schema.position(BASEADDR)
+        self._value_names = value_schema.names
         # BaseAddr (as a sortable key) -> snapshot-heap RID.
         self._index = BPlusTree(order=64)
         #: Base-table time this snapshot reflects (0 = never refreshed).
@@ -137,18 +138,20 @@ class SnapshotTable:
     # -- storage helpers ------------------------------------------------------
 
     def _upsert(self, base_addr: Rid, values: Tuple) -> None:
-        existing = self._index.get(base_addr.key())
+        # Every stored column, BaseAddr included, so an update needs
+        # nothing from the old row.
+        by_name = dict(zip(self._value_names, values))
+        by_name[BASEADDR] = base_addr
+        key = base_addr.key()
+        existing = self._index.get(key)
         self.applied_upserts += 1
         if existing is not None:
-            updates = dict(zip(self.value_schema.names, values))
-            new_rid = self.storage.system_update(existing, updates)
+            new_rid = self.storage.system_update(existing, by_name)
             if new_rid != existing:  # relocated on page overflow
-                self._index.insert(base_addr.key(), new_rid)
+                self._index.insert(key, new_rid)
             return
-        by_name = dict(zip(self.value_schema.names, values))
-        by_name[BASEADDR] = base_addr
         rid = self.storage.system_insert(by_name)
-        self._index.insert(base_addr.key(), rid)
+        self._index.insert(key, rid)
 
     def _delete_addr(self, base_addr: Rid) -> bool:
         existing = self._index.get(base_addr.key())

@@ -99,7 +99,13 @@ SUMMARY_STATE_FIELDS = {
 }
 
 #: The page-summary maintenance entry points (heap write hooks).
-SUMMARY_HOOKS = {"note_insert", "note_update", "note_delete", "attach_summaries"}
+SUMMARY_HOOKS = {
+    "note_insert",
+    "note_update",
+    "note_patch",
+    "note_delete",
+    "attach_summaries",
+}
 
 #: Module prefixes whose behaviour must be a function of the site clock.
 DETERMINISTIC_PREFIXES = ("core/", "net/", "storage/", "txn/")

@@ -69,21 +69,16 @@ from repro.errors import StorageError
 from repro.relation.row import Row, decode_row, page_probe
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
-from repro.storage.page import HEADER_SIZE
+from repro.storage.page import (
+    ANNOTATION_TAIL,
+    PREV_NULL_PAGE,
+    TS_NULL,
+    read_directory,
+)
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # predicate compilation is a client-layer concern
     from repro.expr.predicate import Restriction
-
-#: The two annotation sentinels (see ``repro.relation.types``): a
-#: ``$PREVADDR$`` page of ``-2**31`` and a ``$TIMESTAMP$`` of ``-2**63``
-#: both mean SQL NULL, encoded inline so record sizes never change.
-PREV_NULL_PAGE = -(2**31)
-TS_NULL = -(2**63)
-
-#: The trailing 16 bytes of every annotated record: PrevAddr page (i32),
-#: PrevAddr slot (u32), timestamp (i64) — read in one call per record.
-_TAIL = struct.Struct("<iIq")
 
 _SLOT_COUNT = struct.Struct("<H")
 
@@ -251,24 +246,15 @@ def extract_page_batch(
 
     The image is copied once; the slot directory is unpacked in a
     single call and each live record's annotation tail is read with one
-    :data:`_TAIL` unpack.  Everything else — the column split, the
-    NULL test, the timestamp max and the intra-page chain check — runs
-    as whole-tuple operations.  The caller holds the pin for the
-    duration.  The schema must have the annotation columns appended
-    last (the table layer's ``_ann_trailing`` invariant) — callers gate
-    on that.
+    :data:`~repro.storage.page.ANNOTATION_TAIL` unpack.  Everything
+    else — the column split, the NULL test, the timestamp max and the
+    intra-page chain check — runs as whole-tuple operations.  The caller
+    holds the pin for the duration.  The schema must end in the two
+    annotation columns, as every annotated table's does.
     """
     image = bytes(buf)
     (slot_count,) = _SLOT_COUNT.unpack_from(image, 2)
-    # One unpack for the whole slot directory; the format is sized by
-    # the page's slot count, so it cannot be precompiled.
-    directory: "Tuple[int, ...]" = (
-        struct.unpack_from(  # replint: ignore[L305]
-            f"<{2 * slot_count}H", image, HEADER_SIZE
-        )
-        if slot_count
-        else ()
-    )
+    directory = read_directory(image, slot_count)
     offsets: "Tuple[int, ...]" = directory[0::2]
     lengths: "Tuple[int, ...]" = directory[1::2]
     if 0 in offsets:  # freed slots: keep the live ones
@@ -293,7 +279,7 @@ def extract_page_batch(
             f"page {page_no} slot {slots[index]}: record of "
             f"{lengths[index]} bytes cannot carry trailing annotations"
         )
-    tail_read = _TAIL.unpack_from
+    tail_read = ANNOTATION_TAIL.unpack_from
     tails = [
         tail_read(image, offset + length - 16)
         for offset, length in zip(offsets, lengths)

@@ -22,7 +22,7 @@ Insert placement policies:
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
@@ -265,11 +265,7 @@ class HeapFile:
         page = self._pin(rid.page_no)
         try:
             page.update(rid.slot_no, record)
-            # Benign race: the free-space hint is advisory — a torn or
-            # lost update from a ``drain_registry`` worker's fix-up or
-            # the scheduler's commit listener only costs a later writer
-            # one extra pin probe.
-            self._free_hint[rid.page_no] = page.free_bytes()  # replint: ignore[L601]
+            self._free_hint[rid.page_no] = page.free_bytes()
             if self.summaries is not None:
                 self.summaries.note_update(rid, record)
         finally:
@@ -278,6 +274,36 @@ class HeapFile:
             self.writes.updates += 1
             if self._write_observers:
                 self._notify_write("update", rid)
+
+    def patch_annotations(
+        self,
+        heap_page: int,
+        patches: "Sequence[tuple[int, Optional[bytes], Optional[bytes]]]",
+    ) -> None:
+        """Overwrite annotation fields of records on one page, one pin.
+
+        ``patches`` are ``(slot_no, prev, ts)`` with 8-byte encoded
+        fields or ``None`` (see :meth:`SlottedPage.patch_annotations`).
+        Record lengths never change, so the free-space hint stands.
+        Counts one update per patch and notifies the write observers
+        once per address, in slot order, exactly as that many
+        :meth:`update` calls would; the page summary folds the whole
+        patch in one hook.
+        """
+        if not patches:
+            return
+        page = self._pin(heap_page)
+        try:
+            tails = page.patch_annotations(patches)
+            if self.summaries is not None:
+                self.summaries.note_patch(heap_page, tails)
+        finally:
+            self._unpin(heap_page, dirty=True)
+        with self._write_mutex:
+            self.writes.updates += len(tails)
+            if self._write_observers:
+                for slot_no, _, _ in tails:
+                    self._notify_write("update", Rid(heap_page, slot_no))
 
     def delete(self, rid: Rid) -> None:
         """Free the address ``rid`` for reuse."""

@@ -21,6 +21,10 @@ Layout (little-endian)::
 A directory entry with ``offset == 0`` marks a free (empty) slot; record
 bodies never start at offset 0 because the header occupies it.
 
+Records of annotated tables end in the two fixed-width annotation fields
+(:data:`ANNOTATION_TAIL`); :meth:`SlottedPage.patch_annotations`
+rewrites those 16 bytes in place, which never changes a record's length.
+
 ``live_bytes`` is maintained by every write, so space accounting
 (:meth:`SlottedPage.reclaimable`, :meth:`SlottedPage.free_bytes`) is
 header arithmetic rather than a directory walk.  Images written by the
@@ -32,9 +36,14 @@ misreported as holding free space.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from repro.errors import PageFormatError, PageFullError, RecordNotFoundError
+from repro.errors import (
+    PageFormatError,
+    PageFullError,
+    RecordNotFoundError,
+    StorageError,
+)
 
 PAGE_SIZE = 4096
 
@@ -45,8 +54,29 @@ _MAGIC = 0x5251
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
 
+#: The trailing 16 bytes of every annotated record: ``$PREVADDR$`` page
+#: (i32) and slot (u32), then ``$TIMESTAMP$`` (i64).
+ANNOTATION_TAIL = struct.Struct("<iIq")
+
+#: The inline-NULL sentinels of the two annotation fields (see
+#: ``repro.relation.types``): a ``$PREVADDR$`` page of ``-2**31`` and a
+#: ``$TIMESTAMP$`` of ``-2**63`` both mean SQL NULL.
+PREV_NULL_PAGE = -(2**31)
+TS_NULL = -(2**63)
+
 #: Largest record body a page of the default size can hold.
 MAX_RECORD_SIZE = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE
+
+
+def read_directory(buf: "bytes | bytearray", slot_count: int) -> "tuple[int, ...]":
+    """The whole slot directory as a flat ``(offset, length, ...)`` tuple.
+
+    One ``struct`` call; the format is sized by the slot count, so it
+    cannot be precompiled (``struct`` caches it per count).
+    """
+    if not slot_count:
+        return ()
+    return struct.unpack_from(f"<{2 * slot_count}H", buf, HEADER_SIZE)
 
 
 class SlottedPage:
@@ -136,11 +166,8 @@ class SlottedPage:
 
     def lowest_free_slot(self) -> Optional[int]:
         """Index of the lowest empty directory slot, or ``None``."""
-        for slot_no in range(self.slot_count):
-            offset, _ = self._slot(slot_no)
-            if offset == 0:
-                return slot_no
-        return None
+        offsets = read_directory(self._buf, self.slot_count)[0::2]
+        return offsets.index(0) if 0 in offsets else None
 
     def insert(self, record: bytes, slot_no: Optional[int] = None) -> int:
         """Store ``record``; return its slot number.
@@ -259,21 +286,77 @@ class SlottedPage:
     def compact(self) -> int:
         """Re-pack live record bodies toward the page end, squeezing holes.
 
-        Returns the new ``free_data_offset``.
+        Live bodies keep slot order from the page end downward (slot 0's
+        body is last in the page).  The bytes below the new
+        ``free_data_offset`` are left as they were.  Returns the new
+        ``free_data_offset``.
         """
+        buf = self._buf
         _, slot_count, _, live_count, _ = self._read_header()
-        live = []
-        for slot_no in range(slot_count):
-            offset, length = self._slot(slot_no)
-            if offset != 0:
-                live.append((slot_no, bytes(self._buf[offset : offset + length])))
+        directory = list(read_directory(buf, slot_count))
+        bodies: "list[bytearray]" = []
         write_at = self._size
-        for slot_no, body in live:
-            write_at -= len(body)
-            self._buf[write_at : write_at + len(body)] = body
-            self._set_slot(slot_no, write_at, len(body))
+        for index in range(0, 2 * slot_count, 2):
+            offset = directory[index]
+            if offset:
+                length = directory[index + 1]
+                bodies.append(buf[offset : offset + length])
+                write_at -= length
+                directory[index] = write_at
+        bodies.reverse()
+        buf[write_at : self._size] = b"".join(bodies)
+        if slot_count:
+            struct.pack_into(f"<{2 * slot_count}H", buf, HEADER_SIZE, *directory)
         self._write_header(slot_count, write_at, live_count, self._size - write_at)
         return write_at
+
+    def patch_annotations(
+        self, patches: "Sequence[tuple[int, Optional[bytes], Optional[bytes]]]"
+    ) -> "list[tuple[int, int, int]]":
+        """Overwrite the trailing annotation fields of live records in place.
+
+        Each patch is ``(slot_no, prev, ts)``: an 8-byte encoded
+        ``$PREVADDR$`` and ``$TIMESTAMP$``, or ``None`` to leave that
+        field as it is.  Slots must be live, distinct and ascending.
+        Every patch is checked before any byte is written, so a rejected
+        batch leaves the page untouched.  Record lengths do not change,
+        so the header and the directory stay as they are.
+
+        Returns each patched record's resulting ``(slot_no, prev_page,
+        ts)`` tail, raw (NULL as :data:`PREV_NULL_PAGE` / :data:`TS_NULL`).
+        """
+        buf = self._buf
+        slot_count = self.slot_count
+        ends: "list[int]" = []
+        last = -1
+        for slot_no, prev, ts in patches:
+            if not last < slot_no < slot_count:
+                raise RecordNotFoundError(
+                    f"slot {slot_no}: annotation patches need ascending "
+                    f"slots below {slot_count}"
+                )
+            offset, length = self._slot(slot_no)
+            if offset == 0:
+                raise RecordNotFoundError(f"slot {slot_no} is empty")
+            if length < ANNOTATION_TAIL.size or not (
+                (prev is None or len(prev) == 8) and (ts is None or len(ts) == 8)
+            ):
+                raise StorageError(
+                    f"slot {slot_no}: annotation patch does not fit the "
+                    f"record's 16-byte annotation tail"
+                )
+            ends.append(offset + length)
+            last = slot_no
+        tails: "list[tuple[int, int, int]]" = []
+        read_tail = ANNOTATION_TAIL.unpack_from
+        for (slot_no, prev, ts), end in zip(patches, ends):
+            if prev is not None:
+                buf[end - 16 : end - 8] = prev
+            if ts is not None:
+                buf[end - 8 : end] = ts
+            prev_page, _, stamp = read_tail(buf, end - 16)
+            tails.append((slot_no, prev_page, stamp))
+        return tails
 
     def records(self) -> "Iterator[tuple[int, bytes]]":
         """Yield ``(slot_no, body)`` for live slots in slot order."""
@@ -288,14 +371,8 @@ class SlottedPage:
         Directory-only walk — record bodies are not read.  Page summaries
         use this to keep their live-address bounds exact across deletes.
         """
-        first: Optional[int] = None
-        last: Optional[int] = None
-        for slot_no in range(self.slot_count):
-            offset, _ = self._slot(slot_no)
-            if offset != 0:
-                if first is None:
-                    first = slot_no
-                last = slot_no
-        if first is None:
+        offsets = read_directory(self._buf, self.slot_count)[0::2]
+        live = [slot_no for slot_no, offset in enumerate(offsets) if offset]
+        if not live:
             return None
-        return first, last
+        return live[0], live[-1]

@@ -28,10 +28,11 @@ the page, that nothing on it needs repairing or transmitting:
     scan's ``LastAddr``/``ExpectPrev`` state to its last live address.
 
 ``page_version``
-    Bumped on *every* record write to the page (including annotation
-    repairs).  A cached per-snapshot :class:`PageQualInfo` is valid only
-    while the version matches, i.e. while the page bytes are exactly
-    what the caching scan saw.
+    Bumped on *every* record write to the page, and once per
+    page-at-a-time annotation patch (:meth:`PageSummaryMap.note_patch`).
+    A cached per-snapshot :class:`PageQualInfo` is valid only while the
+    version matches, i.e. while the page bytes are exactly what the
+    caching scan saw.
 
 A page is *skippable* for ``snap_time`` iff it has no NULL annotations,
 ``max_ts <= snap_time``, and no structural change after ``snap_time``
@@ -46,14 +47,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.relation.row import decode_fields
-from repro.relation.schema import Schema
-from repro.relation.types import NULL
+from repro.storage.page import ANNOTATION_TAIL, PREV_NULL_PAGE, TS_NULL, SlottedPage
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # imported lazily: heap.py is a client of this module
     from repro.storage.heap import HeapFile
-    from repro.storage.page import SlottedPage
 
 
 class PageSummary:
@@ -172,15 +170,7 @@ class PageSummaryMap:
     paper's timestamp bookkeeping.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        prev_pos: int,
-        ts_pos: int,
-        now: Callable[[], int],
-    ) -> None:
-        self._schema = schema
-        self._positions: "tuple[int, int]" = (prev_pos, ts_pos)
+    def __init__(self, now: Callable[[], int]) -> None:
         self._now = now
         self._pages: "dict[int, PageSummary]" = {}
 
@@ -199,15 +189,27 @@ class PageSummaryMap:
 
     # -- write hooks (called by HeapFile while the page is pinned) -----------
 
+    @staticmethod
+    def _fold(summary: PageSummary, tails: "list[tuple[int, int, int]]") -> None:
+        """Fold raw ``(slot, prev_page, ts)`` annotation tails into the summary."""
+        null_slots = summary.null_slots
+        max_ts = summary.max_ts
+        for slot_no, prev_page, ts in tails:
+            if prev_page == PREV_NULL_PAGE or ts == TS_NULL:
+                null_slots.add(slot_no)
+            else:
+                null_slots.discard(slot_no)
+            # TS_NULL is the smallest i64, so a NULL never raises the max.
+            if ts > max_ts:
+                max_ts = ts
+        summary.max_ts = max_ts
+
     def _absorb(self, summary: PageSummary, slot_no: int, body: bytes) -> None:
-        """Fold one record image's annotation state into the summary."""
-        prev, ts = decode_fields(self._schema, body, self._positions)
-        if prev is NULL or ts is NULL:
-            summary.null_slots.add(slot_no)
-        else:
-            summary.null_slots.discard(slot_no)
-        if ts is not NULL and ts > summary.max_ts:
-            summary.max_ts = ts
+        """Fold one record image's annotation tail into the summary."""
+        prev_page, _, ts = ANNOTATION_TAIL.unpack_from(
+            body, len(body) - ANNOTATION_TAIL.size
+        )
+        self._fold(summary, [(slot_no, prev_page, ts)])
 
     def note_insert(
         self, rid: Rid, body: bytes, structural: bool = False
@@ -227,7 +229,19 @@ class PageSummaryMap:
         summary.page_version += 1
         self._absorb(summary, rid.slot_no, body)
 
-    def note_delete(self, rid: Rid, page: "SlottedPage") -> None:
+    def note_patch(self, page_no: int, tails: "list[tuple[int, int, int]]") -> None:
+        """Fold one page-at-a-time annotation patch into the summary.
+
+        ``tails`` are the patched records' resulting raw ``(slot,
+        prev_page, ts)`` annotation tails
+        (:meth:`~repro.storage.page.SlottedPage.patch_annotations`), so
+        nothing is decoded again.  One version bump covers the patch.
+        """
+        summary = self.get_or_create(page_no)
+        summary.page_version += 1
+        self._fold(summary, tails)
+
+    def note_delete(self, rid: Rid, page: SlottedPage) -> None:
         summary = self.get_or_create(rid.page_no)
         summary.page_version += 1
         summary.null_slots.discard(rid.slot_no)

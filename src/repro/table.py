@@ -100,7 +100,10 @@ class Table(UndoInterface):
         self._live: Optional[BPlusTree] = None
         self._prev_pos: Optional[int] = None
         self._ts_pos: Optional[int] = None
-        self._ann_trailing = False
+        # Every column but the annotations, in schema order: a
+        # system_update naming all of them needs nothing from the old
+        # row.  A dict, so its keys also compare as a set.
+        self._stored_names = dict.fromkeys(schema.names)
         # Secondary indexes (repro.query.indexes); notified on mutation.
         self._indexes: "list[Any]" = []
 
@@ -186,22 +189,14 @@ class Table(UndoInterface):
         new_schema = old_schema.with_columns(annotation_columns())
         self._rewrite_for_annotations(old_schema, new_schema, mode)
         self.schema = new_schema
-        self._prev_pos = new_schema.position(PREVADDR)
-        self._ts_pos = new_schema.position(TIMESTAMP)
         # Annotations are appended, so they are the record's trailing two
         # fixed 8-byte fields; set_annotations patches them in place.
-        self._ann_trailing = (
-            self._prev_pos == len(new_schema) - 2
-            and self._ts_pos == len(new_schema) - 1
-        )
+        self._prev_pos = new_schema.position(PREVADDR)
+        self._ts_pos = new_schema.position(TIMESTAMP)
         self.annotation_mode = mode
-        # Page summaries decode the annotation fields, so they can only
-        # exist from this point on; rebuild covers pre-existing rows.
-        self.heap.attach_summaries(
-            PageSummaryMap(
-                new_schema, self._prev_pos, self._ts_pos, self.db.clock.read
-            )
-        )
+        # Page summaries read the annotation tail, so they can only exist
+        # from this point on; rebuild covers pre-existing rows.
+        self.heap.attach_summaries(PageSummaryMap(self.db.clock.read))
         if mode == "eager":
             self._live = BPlusTree(order=64)
             self._chain_all()
@@ -243,39 +238,38 @@ class Table(UndoInterface):
         row = decode_row(self.schema, self.heap.read(rid))
         return row[self._prev_pos], row[self._ts_pos]
 
-    def set_annotations(self, rid: Rid, **fields: Any) -> None:
-        """Directly overwrite annotation fields (fix-up primitive).
+    def set_annotations(
+        self, page_no: int, patches: "Sequence[tuple[int, Any, Any]]"
+    ) -> None:
+        """Overwrite annotation fields of entries on one page (fix-up primitive).
 
-        Accepts ``prev`` and/or ``ts``; writes in place without logging —
-        annotation repair is maintenance, not a user update, and must not
-        itself look like a base-table modification.
+        Each patch is ``(slot, prev, ts)``: the new ``PrevAddr`` and
+        ``TimeStamp`` (``NULL`` writes NULL), or ``None`` to leave that
+        field as it is.  Slots are live, distinct and ascending; a
+        single-entry write is a one-element list.  Both fields use
+        fixed-width inline-NULL encodings at the end of the record, so
+        the heap patches the bytes in place under one pin without
+        decoding (or re-encoding) the rest of the row.  No logging —
+        annotation repair is maintenance, not a user update, and must
+        not itself look like a base-table modification.
         """
         self._require_annotations()
-        unknown = set(fields) - {"prev", "ts"}
-        if unknown:
-            raise SchemaError(f"unknown annotation fields: {sorted(unknown)}")
-        body = self.heap.read(rid)
-        if self._ann_trailing:
-            # Both annotation fields use fixed-width inline-NULL encodings
-            # at the end of the record, so fix-up can patch the bytes
-            # without decoding (or re-encoding) the rest of the row.
-            patched = bytearray(body)
-            if "prev" in fields:
-                prev_type = self.schema.columns[self._prev_pos].ctype
-                patched[-16:-8] = prev_type.encode(fields["prev"])
-            if "ts" in fields:
-                ts_type = self.schema.columns[self._ts_pos].ctype
-                patched[-8:] = ts_type.encode(fields["ts"])
-            self.heap.update(rid, bytes(patched))
-            return
-        row = decode_row(self.schema, body)
-        updates: "dict[str, Any]" = {}
-        if "prev" in fields:
-            updates[PREVADDR] = fields["prev"]
-        if "ts" in fields:
-            updates[TIMESTAMP] = fields["ts"]
-        new_row = row.replace(self.schema, **updates)
-        self.heap.update(rid, encode_row(self.schema, new_row))
+        encode_prev = self.schema.columns[self._prev_pos].ctype.encode
+        encode_ts = self.schema.columns[self._ts_pos].ctype.encode
+        try:
+            encoded = [
+                (
+                    slot,
+                    None if prev is None else encode_prev(prev),
+                    None if ts is None else encode_ts(ts),
+                )
+                for slot, prev, ts in patches
+            ]
+        except ValueError:
+            raise SchemaError(
+                "annotation patches are (slot, prev, ts) triples"
+            ) from None
+        self.heap.patch_annotations(page_no, encoded)
 
     def _require_annotations(self) -> None:
         if not self.has_annotations:
@@ -495,13 +489,12 @@ class Table(UndoInterface):
         successor = self._successor(rid)
         if successor is not None:
             succ_prev, _ = self.annotations(successor)
-            self.set_annotations(rid, prev=succ_prev)
-            self.set_annotations(successor, prev=rid)
+            self.set_annotations(rid.page_no, [(rid.slot_no, succ_prev, None)])
+            self.set_annotations(successor.page_no, [(successor.slot_no, rid, None)])
         else:
             predecessor = self._predecessor(rid)
-            self.set_annotations(
-                rid, prev=predecessor if predecessor is not None else Rid.BEGIN
-            )
+            prev = predecessor if predecessor is not None else Rid.BEGIN
+            self.set_annotations(rid.page_no, [(rid.slot_no, prev, None)])
         live.insert(rid.key(), rid)
         final = self.heap.read(rid)
         self.db.txns.record_operation(
@@ -520,7 +513,10 @@ class Table(UndoInterface):
         prev, _ = self.annotations(rid)
         successor = self._successor(rid)
         if successor is not None:
-            self.set_annotations(successor, prev=prev, ts=self.db.clock.tick())
+            self.set_annotations(
+                successor.page_no,
+                [(successor.slot_no, prev, self.db.clock.tick())],
+            )
 
     # -- system operations --------------------------------------------------------
 
@@ -553,34 +549,59 @@ class Table(UndoInterface):
 
     def system_update(self, rid: Rid, changes: "dict[str, Any]") -> Rid:
         """Update any non-annotation columns in place; returns the address
-        (a new one when the grown record had to relocate)."""
+        (a new one when the grown record had to relocate).
+
+        When ``changes`` name every stored column and no secondary index
+        needs the old values, the old row is not decoded: the new values
+        are encoded once and the old ``$PREVADDR$`` is carried over
+        (``$TIMESTAMP$`` NULL, as for any lazy update).
+        """
         for name in changes:
             if name in (PREVADDR, TIMESTAMP):
                 raise SchemaError("use set_annotations for annotation fields")
-        row = self._decode(self.heap.read(rid))
-        new_row = row.replace(self.schema, **changes)
-        if self.annotation_mode == "lazy":
-            new_row = new_row.replace(self.schema, **{TIMESTAMP: NULL})
-        body = encode_row(self.schema, new_row)
+        schema = self.schema
+        lazy = self.annotation_mode == "lazy"
+        old_values: "Optional[tuple]" = None
+        # Eager tables keep both annotations through an update, so they
+        # take the decoding path.
+        if (
+            changes.keys() == self._stored_names.keys()
+            and not self._indexes
+            and self.annotation_mode != "eager"
+        ):
+            new_values = [changes[name] for name in self._stored_names]
+            if lazy:
+                old = self.heap.read(rid)
+                prev_type = schema.columns[self._prev_pos].ctype
+                new_values += (prev_type.decode(old, len(old) - 16)[0], NULL)
+        else:
+            row = self._decode(self.heap.read(rid))
+            old_values = row.values
+            new_row = row.replace(schema, **changes)
+            if lazy:
+                new_row = new_row.replace(schema, **{TIMESTAMP: NULL})
+            new_values = list(new_row.values)
+        body = encode_row(schema, Row(new_values))
         self.stats.updates += 1
         try:
             self.heap.update(rid, body)
-            self._notify_update(rid, row.values, rid, new_row.values)
-            return rid
         except PageFullError:
             self.heap.delete(rid)
             if self._live is not None:
                 self._live.delete(rid.key())
-            self._notify_delete(rid, row.values)
-            if self.annotation_mode == "lazy":
-                new_row = new_row.replace(
-                    self.schema, **{PREVADDR: NULL, TIMESTAMP: NULL}
-                )
-            new_rid = self.heap.insert(encode_row(self.schema, new_row))
+            if old_values is not None:
+                self._notify_delete(rid, old_values)
+            if lazy:
+                new_values[-2:] = (NULL, NULL)
+            new_row = Row(new_values)
+            new_rid = self.heap.insert(encode_row(schema, new_row))
             if self._live is not None:
                 self._live.insert(new_rid.key(), new_rid)
             self._notify_insert(new_rid, new_row.values)
             return new_rid
+        if old_values is not None:
+            self._notify_update(rid, old_values, rid, tuple(new_values))
+        return rid
 
     def system_delete(self, rid: Rid) -> None:
         """Delete a row without logging ("delete just deletes")."""

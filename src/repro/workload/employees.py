@@ -110,11 +110,15 @@ def figure5_base_table() -> "Tuple[Database, Table, dict[int, Rid]]":
     # Annotation state of Figure 5 (before refresh).  This builder
     # deliberately forges fix-up state, so the mutation-discipline rule
     # is waived line by line.
-    table.set_annotations(addrs[1], prev=Rid.BEGIN, ts=300)  # replint: ignore[L101]
-    table.set_annotations(addrs[2], prev=NULL, ts=NULL)  # inserted  # replint: ignore[L101]
-    table.set_annotations(addrs[3], prev=addrs[1], ts=NULL)  # updated  # replint: ignore[L101]
-    table.set_annotations(addrs[5], prev=addrs[4], ts=230)  # replint: ignore[L101]
-    table.set_annotations(addrs[6], prev=addrs[5], ts=200)  # replint: ignore[L101]
+    forged = [
+        (addrs[1], Rid.BEGIN, 300),
+        (addrs[2], NULL, NULL),  # inserted
+        (addrs[3], addrs[1], NULL),  # updated
+        (addrs[5], addrs[4], 230),
+        (addrs[6], addrs[5], 200),
+    ]
+    for rid, prev, ts in forged:
+        table.set_annotations(rid.page_no, [(rid.slot_no, prev, ts)])  # replint: ignore[L101]
     # Jack (4) and Bob (7) were deleted — "delete just deletes".
     table.heap.delete(addrs[4])
     table.heap.delete(addrs[7])

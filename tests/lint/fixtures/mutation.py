@@ -16,3 +16,11 @@ def rogue_hook_call(summaries, rid, body):
 
 def waived_annotation_write(table, rid):
     table.set_annotations(rid, prev=None)  # replint: ignore[L101]
+
+
+def rogue_page_patch(table, page_no, slot):
+    table.set_annotations(page_no, [(slot, None, 7)])  # line 22: L101
+
+
+def rogue_patch_hook(summaries, page_no, tails):
+    summaries.note_patch(page_no, tails)  # line 26: L103

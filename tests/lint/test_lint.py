@@ -27,6 +27,8 @@ class TestMutationDiscipline:
             ("L102", 9),
             ("L102", 10),
             ("L103", 14),
+            ("L101", 22),
+            ("L103", 26),
         ]
 
     def test_whitelisted_module_is_clean(self):

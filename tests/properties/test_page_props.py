@@ -1,5 +1,7 @@
 """Slotted page checked against a dict model."""
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,3 +138,66 @@ class TestSpaceAccounting:
             assert page.reclaimable() == walked_reclaimable(page, size)
             assert page.live_bytes == sum(len(b) for b in model.values())
             assert dict(page.records()) == model
+
+
+def reference_compact(page):
+    """The slot-at-a-time ``compact`` the one-pass version replaced."""
+    buf = page.buffer
+    slot_count = page.slot_count
+    live_count = page.live_count
+    live = []
+    for slot_no in range(slot_count):
+        offset, length = struct.unpack_from("<HH", buf, HEADER_SIZE + slot_no * 4)
+        if offset != 0:
+            live.append((slot_no, bytes(buf[offset : offset + length])))
+    write_at = len(buf)
+    for slot_no, body in live:
+        write_at -= len(body)
+        buf[write_at : write_at + len(body)] = body
+        struct.pack_into("<HH", buf, HEADER_SIZE + slot_no * 4, write_at, len(body))
+    struct.pack_into(
+        "<HHHHI", buf, 0, 0x5251, slot_count, write_at, live_count, len(buf) - write_at
+    )
+    return write_at
+
+
+def assert_compacts_like_reference(page):
+    expected = SlottedPage(bytearray(page.buffer))
+    expected_offset = reference_compact(expected)
+    assert page.compact() == expected_offset
+    assert bytes(page.buffer) == bytes(expected.buffer)
+
+
+class TestOnePassCompact:
+    @settings(max_examples=120, deadline=None)
+    @given(script=space_ops)
+    def test_byte_identical_to_reference(self, script):
+        """Random pages with holes compact to the reference's exact image."""
+        page = SlottedPage.empty(768)
+        model = {}
+        for op, pick, length in script:
+            live = sorted(model)
+            body = bytes([pick]) * length
+            try:
+                if op == "insert":
+                    model[page.insert(body)] = body
+                elif op == "insert_at":
+                    slot = pick % (page.slot_count + 3)
+                    if slot not in model:
+                        model[page.insert(body, slot_no=slot)] = body
+                elif op in ("shrink", "grow") and live:
+                    slot = live[pick % len(live)]
+                    old = len(model[slot])
+                    body = body[: old // 2] if op == "shrink" else body + bytes(old)
+                    page.update(slot, body)
+                    model[slot] = body
+                elif op == "delete" and live:
+                    slot = live[pick % len(live)]
+                    page.delete(slot)
+                    del model[slot]
+                elif op == "compact":
+                    assert_compacts_like_reference(page)
+            except PageFullError:
+                pass
+        assert_compacts_like_reference(page)
+        assert dict(page.records()) == model

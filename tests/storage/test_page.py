@@ -4,7 +4,12 @@ import struct
 
 import pytest
 
-from repro.errors import PageFormatError, PageFullError, RecordNotFoundError
+from repro.errors import (
+    PageFormatError,
+    PageFullError,
+    RecordNotFoundError,
+    StorageError,
+)
 from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
 from repro.storage.pager import FilePager
 
@@ -197,4 +202,91 @@ class TestLiveBytes:
         before = bytes(page.buffer)
         with pytest.raises(PageFullError):
             page.insert(b"y" * 80, slot_no=5)
+        assert bytes(page.buffer) == before
+
+
+def reference_lowest_free_slot(page):
+    """The per-slot directory walk ``lowest_free_slot`` replaced."""
+    for slot_no in range(page.slot_count):
+        offset, _ = struct.unpack_from("<HH", page.buffer, HEADER_SIZE + slot_no * 4)
+        if offset == 0:
+            return slot_no
+    return None
+
+
+class TestLowestFreeSlot:
+    def filled(self, count):
+        page = SlottedPage.empty(512)
+        for i in range(count):
+            page.insert(bytes([i]) * 8)
+        return page
+
+    def test_empty_directory(self):
+        page = SlottedPage.empty(512)
+        assert page.lowest_free_slot() is None
+        assert reference_lowest_free_slot(page) is None
+
+    def test_no_free_slot(self):
+        page = self.filled(6)
+        assert page.lowest_free_slot() is None
+        assert reference_lowest_free_slot(page) is None
+
+    @pytest.mark.parametrize("freed", [[0], [3], [5], [2, 4], [5, 1], [0, 5]])
+    def test_matches_reference_walk(self, freed):
+        # Free slots first, in the middle and last: the lowest one wins.
+        page = self.filled(6)
+        for slot in freed:
+            page.delete(slot)
+        assert page.lowest_free_slot() == min(freed)
+        assert page.lowest_free_slot() == reference_lowest_free_slot(page)
+
+    def test_directory_grown_by_explicit_slot(self):
+        # Entries between the old directory end and an explicit slot are
+        # born empty.
+        page = self.filled(2)
+        page.insert(b"z" * 8, slot_no=5)
+        assert page.lowest_free_slot() == 2 == reference_lowest_free_slot(page)
+
+
+class TestPatchAnnotations:
+    def annotated(self):
+        page = SlottedPage.empty(512)
+        for i in range(4):
+            page.insert(bytes([i]) * 4 + struct.pack("<iIq", i, i, 100 + i))
+        page.delete(2)
+        return page
+
+    def test_patches_tail_fields_in_place(self):
+        page = self.annotated()
+        header = bytes(page.buffer[:HEADER_SIZE + 4 * page.slot_count])
+        tails = page.patch_annotations(
+            [
+                (0, struct.pack("<iI", 7, 8), None),
+                (3, None, struct.pack("<q", 900)),
+            ]
+        )
+        assert tails == [(0, 7, 100), (3, 3, 900)]
+        assert page.read(0) == bytes(4) + struct.pack("<iIq", 7, 8, 100)
+        assert page.read(3) == bytes([3]) * 4 + struct.pack("<iIq", 3, 3, 900)
+        assert page.read(1) == bytes([1]) * 4 + struct.pack("<iIq", 1, 1, 101)
+        # Lengths never change: header and directory are untouched.
+        assert bytes(page.buffer[:HEADER_SIZE + 4 * page.slot_count]) == header
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(2, None, None)],  # empty slot
+            [(9, None, None)],  # past the directory
+            [(3, None, None), (1, None, None)],  # not ascending
+            [(1, None, None), (1, None, None)],  # repeated
+            [(1, None, b"short")],  # not an 8-byte field
+        ],
+    )
+    def test_rejected_patch_leaves_page_untouched(self, bad):
+        page = self.annotated()
+        # A valid patch ahead of the bad one must not be written either.
+        patches = [(0, struct.pack("<iI", 5, 5), None)] + bad
+        before = bytes(page.buffer)
+        with pytest.raises(StorageError):
+            page.patch_annotations(patches)
         assert bytes(page.buffer) == before

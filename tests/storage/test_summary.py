@@ -20,9 +20,7 @@ def assert_matches_rebuild(table):
     stamp behind); everything else must be exact.
     """
     heap = table.heap
-    fresh = PageSummaryMap(
-        table.schema, table._prev_pos, table._ts_pos, table.db.clock.read
-    )
+    fresh = PageSummaryMap(table.db.clock.read)
     fresh.rebuild(heap)
     for page_no in range(heap.page_count):
         live = heap.summaries.get(page_no)
@@ -59,7 +57,7 @@ class TestMaintenance:
         rid = lazy.insert([1])
         from repro.storage.rid import Rid
 
-        lazy.set_annotations(rid, prev=Rid.BEGIN, ts=7)
+        lazy.set_annotations(rid.page_no, [(rid.slot_no, Rid.BEGIN, 7)])
         summary = lazy.heap.summaries.get(rid.page_no)
         assert rid.slot_no not in summary.null_slots
         assert summary.max_ts >= 7
@@ -70,7 +68,7 @@ class TestMaintenance:
         rid = lazy.insert([1])
         from repro.storage.rid import Rid
 
-        lazy.set_annotations(rid, prev=Rid.BEGIN, ts=7)
+        lazy.set_annotations(rid.page_no, [(rid.slot_no, Rid.BEGIN, 7)])
         lazy.update(rid, {"v": 2})  # lazy update NULLs the timestamp
         summary = lazy.heap.summaries.get(rid.page_no)
         assert rid.slot_no in summary.null_slots
@@ -111,7 +109,7 @@ class TestMaintenance:
         v1 = summary.page_version
         from repro.storage.rid import Rid
 
-        lazy.set_annotations(rid, prev=Rid.BEGIN, ts=3)
+        lazy.set_annotations(rid.page_no, [(rid.slot_no, Rid.BEGIN, 3)])
         v2 = summary.page_version
         lazy.delete(rid)
         v3 = summary.page_version

@@ -85,7 +85,7 @@ class TestAnnotationChain:
         manager.create_snapshot("s", "items", where="v < 5")
         # The initial refresh ran fix-up, so the chain is whole; now
         # tear it (entry 3 must point at entry 2, not entry 0).
-        table.set_annotations(rids[3], prev=rids[0])
+        table.set_annotations(rids[3].page_no, [(rids[3].slot_no, rids[0], None)])
         with pytest.raises(SanitizerError, match="does not tile"):
             sanitize.check_annotation_chain(table)
 
@@ -95,7 +95,7 @@ class TestAnnotationChain:
         db, table, rids = build()
         manager = SnapshotManager(db)
         manager.create_snapshot("s", "items", where="v < 5")
-        table.set_annotations(rids[3], ts=NULL)
+        table.set_annotations(rids[3].page_no, [(rids[3].slot_no, None, NULL)])
         with pytest.raises(SanitizerError, match="NULL timestamp"):
             sanitize.check_annotation_chain(table)
 

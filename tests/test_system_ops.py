@@ -48,7 +48,7 @@ class TestSystemInsert:
 class TestSystemUpdate:
     def test_nulls_timestamp(self, db, table):
         rid = next(r for r, _ in table.scan())
-        table.set_annotations(rid, prev=None or NULL, ts=5)
+        table.set_annotations(rid.page_no, [(rid.slot_no, NULL, 5)])
         table.system_update(rid, {"v": 99})
         _, ts = table.annotations(rid)
         assert ts is NULL
@@ -67,6 +67,50 @@ class TestSystemUpdate:
         assert new_rid != rids[1]
         assert t.read(new_rid).values == ("y" * 2700,)
         assert t.annotations(new_rid) == (NULL, NULL)
+
+
+class TestFullCoverUpdate:
+    """A system_update naming every stored column skips the old-row decode."""
+
+    @staticmethod
+    def twins(db):
+        tables = []
+        for name in ("a", "b"):
+            t = db.create_table(name, [("v", "int"), ("s", "string")], annotations="lazy")
+            rids = t.bulk_load([[i, "x" * 40] for i in range(40)])
+            t.set_annotations(rids[3].page_no, [(rids[3].slot_no, rids[1], 9)])
+            tables.append((t, rids))
+        return tables
+
+    def test_same_record_image_as_decode_path(self, db, monkeypatch):
+        (fast, rids), (slow, _) = self.twins(db)
+        rid = rids[3]
+        # Row 3 already holds v=3: the partial change decodes, the full
+        # cover must produce the same bytes without decoding.
+        slow.system_update(rid, {"s": "shorter"})
+        monkeypatch.setattr(fast, "_decode", None)  # any decode would fail
+        assert fast.system_update(rid, {"v": 3, "s": "shorter"}) == rid
+        assert fast.heap.read(rid) == slow.heap.read(rid)
+        # $PREVADDR$ carried over, $TIMESTAMP$ NULLed as for any lazy update.
+        assert fast.annotations(rid) == (rids[1], NULL)
+
+    def test_relocation_matches_decode_path(self, db, monkeypatch):
+        (fast, rids), (slow, _) = self.twins(db)
+        rid = rids[3]
+        grown = "y" * 3000  # outgrows its page: the row relocates
+        moved_slow = slow.system_update(rid, {"s": grown})
+        monkeypatch.setattr(fast, "_decode", None)
+        moved_fast = fast.system_update(rid, {"v": 3, "s": grown})
+        assert moved_fast == moved_slow != rid
+        assert fast.heap.read(moved_fast) == slow.heap.read(moved_slow)
+        # A relocated row looks like a fresh insert.
+        assert fast.annotations(moved_fast) == (NULL, NULL)
+        assert not fast.exists(rid)
+
+    def test_unknown_column_still_rejected(self, table):
+        rid = next(r for r, _ in table.scan())
+        with pytest.raises(SchemaError):
+            table.system_update(rid, {"w": 1})
 
 
 class TestSystemDelete:

@@ -100,7 +100,7 @@ class TestLazyOperations:
 
     def test_update_nulls_timestamp_only(self, lazy):
         rid = next(r for r, _ in lazy.scan())
-        lazy.set_annotations(rid, prev=Rid.BEGIN, ts=42)
+        lazy.set_annotations(rid.page_no, [(rid.slot_no, Rid.BEGIN, 42)])
         lazy.update(rid, {"v": 1000})
         prev, ts = lazy.annotations(rid)
         assert prev == Rid.BEGIN  # untouched
@@ -201,7 +201,9 @@ class TestRelocatingUpdate:
         table = db.create_table("t2", [("v", "int")], annotations="lazy")
         rid = table.insert([1])
         with pytest.raises(SchemaError):
-            table.set_annotations(rid, bogus=1)
+            # A patch carries exactly (slot, prev, ts); a fourth field
+            # names nothing.
+            table.set_annotations(rid.page_no, [(rid.slot_no, None, None, 1)])
 
 
 class TestEstimateSelectivity:
